@@ -101,62 +101,106 @@ class SequenceLayout:
 class KVCache:
     """Per-layer store of rotary-encoded keys and raw values, tagged with positions.
 
-    Positions within a layer are strictly increasing; appends must respect
-    that order.
+    Each layer holds positions/keys/values arrays with spare capacity plus a
+    length; the accessors return views of the first `length` rows. An append
+    writes in place and, when capacity runs out, moves the rows into arrays of
+    twice the capacity (the first append allocates exactly what it needs), so
+    a view taken earlier keeps its shape and contents. Positions within a
+    layer are strictly increasing; appends must respect that order.
     """
 
     def __init__(self, num_layers: int, num_heads: int, head_dim: int):
         self.num_layers = num_layers
         self.num_heads = num_heads
         self.head_dim = head_dim
-        empty_pos = np.empty(0, dtype=np.int64)
-        empty_kv = np.empty((0, num_heads, head_dim), dtype=np.float64)
-        self._positions = [empty_pos.copy() for _ in range(num_layers)]
-        self._keys = [empty_kv.copy() for _ in range(num_layers)]
-        self._values = [empty_kv.copy() for _ in range(num_layers)]
+        self._positions = [np.empty(0, dtype=np.int64) for _ in range(num_layers)]
+        self._keys = [np.empty((0, num_heads, head_dim)) for _ in range(num_layers)]
+        self._values = [np.empty((0, num_heads, head_dim)) for _ in range(num_layers)]
+        self._lengths = [0] * num_layers
+
+    def _reserve(self, layer: int, rows: int):
+        capacity = self._positions[layer].shape[0]
+        if rows <= capacity:
+            return
+        length = self._lengths[layer]
+        for store in (self._positions, self._keys, self._values):
+            old = store[layer]
+            grown = np.empty((max(rows, 2 * capacity),) + old.shape[1:], dtype=old.dtype)
+            grown[:length] = old[:length]
+            store[layer] = grown
 
     def append(self, layer: int, positions, keys, values):
         positions = np.asarray(positions, dtype=np.int64)
-        prev = self._positions[layer]
-        merged = np.concatenate([prev, positions])
-        if merged.size > 1 and not np.all(np.diff(merged) > 0):
+        length = self._lengths[layer]
+        end = length + positions.size
+        if positions.size and (
+            (length and positions[0] <= self._positions[layer][length - 1])
+            or np.any(np.diff(positions) <= 0)
+        ):
             raise InvalidArgumentError(
                 f"cache positions at layer {layer} must stay strictly increasing"
             )
-        self._positions[layer] = merged
-        self._keys[layer] = np.concatenate([self._keys[layer], keys])
-        self._values[layer] = np.concatenate([self._values[layer], values])
+        rows = (positions.size, self.num_heads, self.head_dim)
+        if np.shape(keys) != rows or np.shape(values) != rows:
+            raise InvalidArgumentError(
+                f"keys and values at layer {layer} must have shape {rows}"
+            )
+        self._reserve(layer, end)
+        self._positions[layer][length:end] = positions
+        self._keys[layer][length:end] = keys
+        self._values[layer][length:end] = values
+        self._lengths[layer] = end
 
     def positions(self, layer: int) -> np.ndarray:
-        return self._positions[layer]
+        return self._positions[layer][: self._lengths[layer]]
 
     def keys(self, layer: int) -> np.ndarray:
-        return self._keys[layer]
+        return self._keys[layer][: self._lengths[layer]]
 
     def values(self, layer: int) -> np.ndarray:
-        return self._values[layer]
+        return self._values[layer][: self._lengths[layer]]
 
     def entry_counts(self) -> list[int]:
-        return [p.size for p in self._positions]
+        return list(self._lengths)
 
     def max_position(self):
-        sizes = [p[-1] for p in self._positions if p.size]
-        return int(max(sizes)) if sizes else None
+        tops = [int(pos[-1]) for pos in map(self.positions, range(self.num_layers)) if pos.size]
+        return max(tops) if tops else None
 
     def all_positions(self) -> np.ndarray:
-        return np.unique(np.concatenate(self._positions))
+        return np.unique(np.concatenate(list(map(self.positions, range(self.num_layers)))))
 
     def drop_positions(self, drop) -> "KVCache":
         """Copy of the cache with every entry at a dropped position removed."""
-        drop = set(int(p) for p in drop)
+        drop = np.asarray(drop, dtype=np.int64)
         out = KVCache(self.num_layers, self.num_heads, self.head_dim)
         for layer in range(self.num_layers):
-            pos = self._positions[layer]
-            keep = np.array([int(p) not in drop for p in pos], dtype=bool)
+            pos = self.positions(layer)
+            keep = ~np.isin(pos, drop)
             out._positions[layer] = pos[keep]
-            out._keys[layer] = self._keys[layer][keep]
-            out._values[layer] = self._values[layer][keep]
+            out._keys[layer] = self.keys(layer)[keep]
+            out._values[layer] = self.values(layer)[keep]
+            out._lengths[layer] = out._positions[layer].size
         return out
+
+    def check_invariants(self, pruned=()):
+        """Raise InvalidArgumentError naming the first layer at fault.
+
+        A layer is at fault if its positions do not strictly increase, its keys
+        or values differ from them in row count, or it holds a `pruned` position.
+        """
+        pruned = np.asarray(pruned, dtype=np.int64)
+        for layer in range(self.num_layers):
+            pos = self.positions(layer)
+            if np.any(np.diff(pos) <= 0):
+                problem = "positions not strictly increasing"
+            elif self.keys(layer).shape[0] != pos.size or self.values(layer).shape[0] != pos.size:
+                problem = "keys/values rows differ from positions"
+            elif np.isin(pos, pruned).any():
+                problem = "pruned position cached"
+            else:
+                continue
+            raise InvalidArgumentError(f"cache layer {layer}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -345,8 +389,8 @@ def output_logits(model: Model, hidden: np.ndarray) -> np.ndarray:
 def decode_step(model: Model, cache: KVCache, token_id: int, position: int) -> np.ndarray:
     """Run one token through all layers against the cache; returns vocab logits.
 
-    The token attends to every cached entry plus itself, and its own key and
-    value are appended at every layer.
+    At every layer the token's own key and value are appended to the cache
+    first, and the token then attends to every cached entry, itself included.
     """
     cfg = model.config
     if cache.num_layers != cfg.num_layers:
@@ -368,18 +412,19 @@ def decode_step(model: Model, cache: KVCache, token_id: int, position: int) -> n
         q = rope_rotate_heads(_split_heads(normed @ lw.w_q, cfg.num_heads), pos_arr)
         k = rope_rotate_heads(_split_heads(normed @ lw.w_k, cfg.num_heads), pos_arr)
         v = _split_heads(normed @ lw.w_v, cfg.num_heads)
-        keys = np.concatenate([cache.keys(layer_index), k])
-        values = np.concatenate([cache.values(layer_index), v])
-        ctx = np.empty((1, cfg.num_heads, cfg.head_dim))
-        allow = np.ones((1, keys.shape[0]), dtype=bool)
+        cache.append(layer_index, pos_arr, k, v)
+        keys, values = cache.keys(layer_index), cache.values(layer_index)
+        # one score row per head, so a single softmax call covers the layer
+        scores = np.empty((cfg.num_heads, keys.shape[0]))
         for head in range(cfg.num_heads):
-            scores = (q[:, head, :] @ keys[:, head, :].T) * scale
-            weights = masked_softmax_rows(scores, allow)
-            ctx[:, head, :] = weights @ values[:, head, :]
+            scores[head : head + 1] = (q[:, head, :] @ keys[:, head, :].T) * scale
+        weights = masked_softmax_rows(scores, np.ones(scores.shape, dtype=bool))
+        ctx = np.empty((1, cfg.num_heads, cfg.head_dim))
+        for head in range(cfg.num_heads):
+            ctx[:, head, :] = weights[head : head + 1] @ values[:, head, :]
         h = h + _merge_heads(ctx) @ lw.w_o
         normed = rms_norm_rows(h, lw.mlp_gain)
         h = h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
-        cache.append(layer_index, pos_arr, k, v)
     return output_logits(model, h)[0]
 
 

@@ -71,11 +71,12 @@ def masked_softmax_rows(scores, mask) -> np.ndarray:
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise InvalidMaskError(f"query row {bad} has no allowed key")
-    neg = np.where(mask, scores, -np.inf)
-    rowmax = neg.max(axis=1, keepdims=True)
-    expd = np.exp(neg - rowmax)
-    expd = np.where(mask, expd, 0.0)
-    return expd / expd.sum(axis=1, keepdims=True)
+    # exp(-inf) is exactly 0, so blocked entries need no second pass
+    out = np.where(mask, scores, -np.inf)
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def rms_norm(x, gain, eps: float = RMS_NORM_EPS) -> np.ndarray:

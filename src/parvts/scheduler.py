@@ -120,12 +120,10 @@ def fuse_question_states(t_non, t_sub, alpha: float, beta: float) -> np.ndarray:
 
 def prune_cache(cache: KVCache, drop_positions) -> KVCache:
     """Remove every cached entry at the given positions, preserving order."""
-    drop = sorted(int(p) for p in drop_positions)
-    if drop:
-        known = set(int(p) for p in cache.all_positions())
-        unknown = [p for p in drop if p not in known]
-        if unknown:
-            raise InvalidArgumentError(f"positions not present in cache: {unknown}")
+    drop = np.asarray(drop_positions, dtype=np.int64)
+    unknown = np.setdiff1d(drop, cache.all_positions())
+    if unknown.size:
+        raise InvalidArgumentError(f"positions not present in cache: {unknown.tolist()}")
     return cache.drop_positions(drop)
 
 

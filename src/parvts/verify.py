@@ -23,6 +23,7 @@ from .cost import (
     speedup_decoding,
     speedup_prefill,
 )
+from .errors import InvalidArgumentError
 from .harness import (
     ExperimentConfig,
     compare_states,
@@ -274,9 +275,7 @@ def check_kv_cache_pruning(_: _Context) -> CheckResult:
     failures = []
     for keep in (0, 4, layout.num_visual):
         partition = partition_topk(saliency, keep)
-        nonsubject = set(
-            int(p) for p in layout.visual_span[0] + partition.nonsubject_indices
-        )
+        nonsubject = layout.visual_span[0] + partition.nonsubject_indices
         for strategy, runner in (
             (Strategy.PARVTS_BATCH, run_parvts_batch),
             (Strategy.PARVTS_MASKED, run_parvts_masked),
@@ -290,9 +289,10 @@ def check_kv_cache_pruning(_: _Context) -> CheckResult:
             counts = result.cache.entry_counts()
             if any(c != expected for c in counts):
                 failures.append(f"{name} k={keep}: counts {counts} != {expected}")
-            cached = set(int(p) for p in result.cache.all_positions())
-            if cached & nonsubject:
-                failures.append(f"{name} k={keep}: non-subject positions cached")
+            try:
+                result.cache.check_invariants(pruned=nonsubject)
+            except InvalidArgumentError as exc:
+                failures.append(f"{name} k={keep}: {exc}")
     ok = not failures
     detail = "cache = |S|+k+|T|+M entries per layer, no non-subject positions"
     if failures:

@@ -260,3 +260,79 @@ class TestMasksAndCache:
         assert layout.output_start == 9
         with pytest.raises(InvalidArgumentError):
             SequenceLayout((0, 2), (3, 5), (5, 9), 9)
+
+
+def _filled_cache(positions, num_layers=1):
+    cache = KVCache(num_layers, 2, 4)
+    for layer in range(num_layers):
+        for p in positions:
+            kv = np.full((1, 2, 4), float(p))
+            cache.append(layer, [p], kv, kv + 0.5)
+    return cache
+
+
+class TestCacheStorage:
+    def test_accessors_are_views_sized_to_the_entries(self):
+        cache = _filled_cache([1, 4, 6])
+        assert cache.positions(0).tolist() == [1, 4, 6]
+        assert cache.keys(0).shape == (3, 2, 4) and cache.values(0).shape == (3, 2, 4)
+        np.testing.assert_array_equal(cache.values(0)[:, 0, 0], [1.5, 4.5, 6.5])
+
+    def test_first_append_reserves_no_spare_capacity(self):
+        cache = KVCache(1, 2, 4)
+        kv = np.zeros((5, 2, 4))
+        cache.append(0, np.arange(5), kv, kv)
+        assert cache._keys[0].shape[0] == 5
+
+    def test_earlier_views_survive_appends_and_growth(self):
+        cache = KVCache(1, 2, 4)
+        kv = np.arange(3 * 8, dtype=np.float64).reshape(3, 2, 4)
+        cache.append(0, [0, 1, 2], kv, kv)
+        keys, positions = cache.keys(0), cache.positions(0)
+        keys_before, positions_before = keys.copy(), positions.copy()
+        for p in range(3, 20):  # grows capacity 3 -> 6 -> 12 -> 24
+            cache.append(0, [p], np.full((1, 2, 4), -1.0), np.full((1, 2, 4), -1.0))
+        assert keys.shape == (3, 2, 4) and positions.shape == (3,)
+        np.testing.assert_array_equal(keys, keys_before)
+        np.testing.assert_array_equal(positions, positions_before)
+        np.testing.assert_array_equal(cache.keys(0)[:3], keys_before)
+        assert cache.positions(0).tolist() == list(range(20))
+
+    def test_dropped_copy_is_independent_of_later_appends(self):
+        cache = _filled_cache([0, 1, 2, 3])
+        pruned = cache.drop_positions([1])
+        kv = np.full((1, 2, 4), 9.0)
+        cache.append(0, [4], kv, kv)
+        assert pruned.positions(0).tolist() == [0, 2, 3]
+        np.testing.assert_array_equal(pruned.keys(0)[:, 0, 0], [0.0, 2.0, 3.0])
+        pruned.append(0, [7], kv, kv)
+        assert cache.positions(0).tolist() == [0, 1, 2, 3, 4]
+
+    def test_append_rejects_position_not_after_last_cached(self):
+        cache = _filled_cache([2, 5])
+        kv = np.zeros((2, 2, 4))
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            cache.append(0, [4, 9], kv, kv)
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            cache.append(0, [9, 9], kv, kv)
+        assert cache.positions(0).tolist() == [2, 5]
+
+    def test_append_rejects_rows_out_of_step_with_positions(self):
+        cache = KVCache(1, 2, 4)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            cache.append(0, [0, 1], np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
+        assert cache.entry_counts() == [0]
+
+    def test_check_invariants_passes_and_names_the_layer_at_fault(self):
+        cache = _filled_cache([0, 3, 5], num_layers=3)
+        cache.check_invariants()
+        cache.check_invariants(pruned=[1, 2, 4])
+        with pytest.raises(InvalidArgumentError, match="layer 0: pruned position cached"):
+            cache.check_invariants(pruned=[3])
+        cache._positions[2][1] = 7
+        with pytest.raises(InvalidArgumentError, match="layer 2: positions not strictly"):
+            cache.check_invariants()
+        cache._positions[2][1] = 3
+        cache._values[1] = cache._values[1][:2]
+        with pytest.raises(InvalidArgumentError, match="layer 1: keys/values rows differ"):
+            cache.check_invariants()

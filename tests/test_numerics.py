@@ -92,6 +92,27 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out[~mask] == 0.0)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 2**16 - 1),
+    )
+    def test_equals_two_pass_formula_and_keeps_scores(self, rows, cols, spread, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 1]))
+        scores = gen.uniform(-spread, spread, size=(rows, cols))
+        mask = gen.random((rows, cols)) < 0.5
+        mask[np.arange(rows), gen.integers(0, cols, rows)] = True
+        before = scores.copy()
+        # the formula with a second mask pass over the exponentials
+        neg = np.where(mask, scores, -np.inf)
+        expd = np.where(mask, np.exp(neg - neg.max(axis=1, keepdims=True)), 0.0)
+        expected = expd / expd.sum(axis=1, keepdims=True)
+        out = masked_softmax_rows(scores, mask)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(scores, before)
+
 
 class TestRmsNorm:
     def test_unit_rms_vector(self):

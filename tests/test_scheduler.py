@@ -12,6 +12,7 @@ from parvts.model import (
     causal_mask,
     decode_step,
     embed,
+    greedy_decode,
     output_logits,
     run_layers,
 )
@@ -345,6 +346,30 @@ class TestPruneCache:
         cache = run_vanilla(model, ids, layout).cache
         with pytest.raises(InvalidArgumentError):
             prune_cache(cache, [999])
+
+    def test_unknown_positions_listed_sorted(self):
+        model, layout, ids, _ = make_setup()
+        cache = run_vanilla(model, ids, layout).cache
+        with pytest.raises(InvalidArgumentError) as info:
+            prune_cache(cache, [999, 3, 500, 1])
+        assert str(info.value) == "positions not present in cache: [500, 999]"
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_invariants_hold_after_prefill_and_decode(self, strategy):
+        model, layout, ids, partition = make_setup()
+        cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
+        result = run_strategy(model, ids, layout, partition, cfg)
+        # sequential schedules cache each visual group in some layers, so
+        # only the parallel ones have positions pruned from every layer
+        parallel = strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED)
+        pruned = nonsubject_positions(layout, partition) if parallel else ()
+        result.cache.check_invariants(pruned)
+        start = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
+        greedy_decode(model, result.cache, start, 12)
+        result.cache.check_invariants(pruned)
+        if parallel:
+            with pytest.raises(InvalidArgumentError, match="layer 0: pruned position cached"):
+                result.cache.check_invariants(subject_positions(layout, partition))
 
     def test_decode_equals_mask_blocked_forward(self):
         model, layout, ids, _ = make_setup(num_layers=3, hidden_dim=16, num_visual=8)
