@@ -8,7 +8,8 @@ norms, or output head). A single layer over L tokens costs
 and decoding sums that attention term over a growing cache. The scheduled
 variant runs n full-length layers and N - n layers at the reduced length
 L_text + (1 - p) * L_img; its decoding cost depends only on the reduced
-length, never on the migration depth.
+length, never on the migration depth. The sequential schedules run one
+visual group through the first n layers and the other through the rest.
 """
 
 from __future__ import annotations
@@ -126,6 +127,28 @@ def decoding_flops_parvts(params: CostParams) -> float:
         return 0.0
     return N * M * (
         4.0 * d * d + 2.0 * m * d + 2.0 * d * ((M - 1) / 2.0 + params.reduced_length)
+    )
+
+
+def prefill_flops_sequential(params: CostParams, first: int) -> float:
+    """Sequential schedule: n layers over L_text + first rows (`first` visual
+    tokens in stage 1), N - n over the L_text + L_img - first others."""
+    d, m, n, N = params.d, params.m, params.n, params.N
+    len1, len2 = params.L_text + first, params.L_text + (params.L_img - first)
+    return n * flops_layer(d, m, len1) + (N - n) * flops_layer(d, m, len2)
+
+
+def decoding_flops_sequential(params: CostParams, first: int) -> float:
+    """Decoding after a sequential schedule; each layer attends to the rows it cached."""
+    d, m, n, N, M = params.d, params.m, params.n, params.N, params.M
+    if M == 0:
+        return 0.0
+    len1, len2 = params.L_text + first, params.L_text + (params.L_img - first)
+    const = 4.0 * d * d + 2.0 * m * d
+    half = (M - 1) / 2.0
+    return M * (
+        n * (const + 2.0 * d * (len1 + half))
+        + (N - n) * (const + 2.0 * d * (len2 + half))
     )
 
 

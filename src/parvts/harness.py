@@ -19,9 +19,10 @@ from .cost import (
     CSV_COLUMNS,
     csv_row,
     decoding_flops_parvts,
+    decoding_flops_sequential,
     decoding_flops_vanilla,
-    flops_layer,
     prefill_flops_parvts,
+    prefill_flops_sequential,
     prefill_flops_vanilla,
     speedup_decoding,
     speedup_prefill,
@@ -30,7 +31,7 @@ from .errors import InvalidArgumentError
 from .model import ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits
 from .numerics import RngState, seeded_integers
 from .oracle import oracle_two_pass
-from .saliency import load_saliency, partition_topk, toy_cls_attention
+from .saliency import Partition, load_saliency, partition_topk, toy_cls_attention
 from .scheduler import ScheduleConfig, Strategy, run_strategy
 
 SCHEMA_VERSION = 1
@@ -141,7 +142,9 @@ def synthesize_token_ids(model_config: ModelConfig, count: int) -> np.ndarray:
     return seeded_integers(rng, count, 0, model_config.vocab_size)
 
 
-def _strategy_flops(strategy: Strategy, params: CostParams) -> tuple[float, float, float, float]:
+def _strategy_flops(
+    strategy: Strategy, params: CostParams, partition: Partition
+) -> tuple[float, float, float, float]:
     """(prefill, decoding, rho_prefill, rho_decoding) for one strategy."""
     if strategy is Strategy.VANILLA:
         pf, df = prefill_flops_vanilla(params), decoding_flops_vanilla(params)
@@ -153,23 +156,12 @@ def _strategy_flops(strategy: Strategy, params: CostParams) -> tuple[float, floa
             speedup_prefill(params),
             speedup_decoding(params),
         )
-    # Sequential schedules: n layers at the stage-1 length, the rest at the
-    # stage-2 length; decoding attends to whichever rows each layer cached.
-    kept = round((1.0 - params.p) * params.L_img)
-    first = kept if strategy is Strategy.SUBJECT_FIRST else params.L_img - kept
-    second = params.L_img - first
-    d, m, n, N, M = params.d, params.m, params.n, params.N, params.M
-    len1, len2 = params.L_text + first, params.L_text + second
-    pf = n * flops_layer(d, m, len1) + (N - n) * flops_layer(d, m, len2)
-    if M == 0:
-        df = 0.0
-    else:
-        const = 4.0 * d * d + 2.0 * m * d
-        half = (M - 1) / 2.0
-        df = M * (
-            n * (const + 2.0 * d * (len1 + half))
-            + (N - n) * (const + 2.0 * d * (len2 + half))
-        )
+    first = (
+        partition.keep_count if strategy is Strategy.SUBJECT_FIRST
+        else partition.nonsubject_indices.size
+    )
+    pf = prefill_flops_sequential(params, first)
+    df = decoding_flops_sequential(params, first)
     rho_p = prefill_flops_vanilla(params) / pf if pf else 1.0
     rho_d = decoding_flops_vanilla(params) / df if df else 1.0
     return pf, df, rho_p, rho_d
@@ -249,7 +241,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
             reference = oracle_two_pass(model, ids, layout, partition, cfg)
             oracle_div, _ = compare_states(result.hidden, reference.hidden)
 
-        pf, df, rho_p, rho_d = _strategy_flops(strategy, params)
+        pf, df, rho_p, rho_d = _strategy_flops(strategy, params, partition)
         blocks.append(
             StrategyReport(
                 strategy=strategy.value,

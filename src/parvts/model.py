@@ -327,6 +327,64 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
+def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.ndarray:
+    """Per-head softmax(q k^T / sqrt(head_dim)) v under `mask` (None allows every key).
+
+    q is (rows, heads, head_dim); keys and values are (keys, heads, head_dim).
+    Heads go through masked_softmax_rows in groups of ceil(heads / rows) with
+    their score rows stacked, so a one-row decode step makes one softmax call
+    per layer while a prefill keeps one rows x keys score matrix per head.
+    Every score and AV product stays a full-height per-head matmul, and query
+    rows are never split, so the grouping does not change a single bit.
+    """
+    rows, heads, head_dim = q.shape
+    scale = 1.0 / np.sqrt(head_dim)
+    group = -(-heads // max(rows, 1))
+    if mask is None:
+        mask = np.ones((group * rows, keys.shape[0]), dtype=bool)
+    elif group > 1:
+        mask = np.tile(mask, (group, 1))
+    scores = np.empty((group * rows, keys.shape[0]))
+    ctx = np.empty(q.shape)
+    for first in range(0, heads, group):
+        members = range(first, min(first + group, heads))
+        block = scores[: len(members) * rows]
+        for i, head in enumerate(members):
+            np.matmul(q[:, head, :], keys[:, head, :].T, out=block[i * rows : (i + 1) * rows])
+        block *= scale
+        weights = masked_softmax_rows(block, mask[: block.shape[0]])
+        for i, head in enumerate(members):
+            ctx[:, head, :] = weights[i * rows : (i + 1) * rows] @ values[:, head, :]
+    return ctx
+
+
+def _layer(
+    model: Model, layer: int, h: np.ndarray, positions: np.ndarray, mask, cache: KVCache | None
+) -> np.ndarray:
+    """One decoder block (0-based `layer`) over the rows of `h`.
+
+    The rows' keys and values are appended to `cache` when one is given. With
+    a `mask` the rows attend among themselves under it; without one they
+    attend to every entry the cache holds at this layer, their own included.
+    """
+    lw = model.layers[layer]
+    heads = model.config.num_heads
+    normed = rms_norm_rows(h, lw.attn_gain)
+    # one rotary call covers q and k, stacked along the head axis
+    qk = rope_rotate_heads(
+        _split_heads(np.hstack([normed @ lw.w_q, normed @ lw.w_k]), 2 * heads), positions
+    )
+    q, k = qk[:, :heads], qk[:, heads:]
+    v = _split_heads(normed @ lw.w_v, heads)
+    if cache is not None:
+        cache.append(layer, positions, k, v)
+    if mask is None:
+        k, v = cache.keys(layer), cache.values(layer)
+    h = h + _merge_heads(_attention(q, k, v, mask)) @ lw.w_o
+    normed = rms_norm_rows(h, lw.mlp_gain)
+    return h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
+
+
 def run_layers(
     model: Model,
     hidden: np.ndarray,
@@ -334,14 +392,13 @@ def run_layers(
     layer_range: tuple[int, int],
     mask,
     cache: KVCache | None = None,
-    record_cache: bool = False,
 ) -> np.ndarray:
     """Advance `hidden` through layers first..last (1-based, inclusive).
 
     Attention is computed among the active rows only, under `mask`; queries
     and keys are rotary-encoded at the rows' original positions and scaled by
-    1/sqrt(head_dim). With record_cache set, each layer appends its keys and
-    values for all active rows to `cache`, tagged with those positions.
+    1/sqrt(head_dim). When a `cache` is given, each layer appends its keys and
+    values for all active rows to it, tagged with those positions.
     """
     first, last = layer_range
     if first > last:
@@ -358,27 +415,9 @@ def run_layers(
     validate_mask(mask, positions)
     mask = np.asarray(mask, dtype=bool)
 
-    h = hidden
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    for layer_index in range(first, last + 1):
-        lw = model.layers[layer_index - 1]
-        normed = rms_norm_rows(h, lw.attn_gain)
-        q = rope_rotate_heads(_split_heads(normed @ lw.w_q, cfg.num_heads), positions)
-        k = rope_rotate_heads(_split_heads(normed @ lw.w_k, cfg.num_heads), positions)
-        v = _split_heads(normed @ lw.w_v, cfg.num_heads)
-        ctx = np.empty_like(q)
-        for head in range(cfg.num_heads):
-            scores = (q[:, head, :] @ k[:, head, :].T) * scale
-            weights = masked_softmax_rows(scores, mask)
-            ctx[:, head, :] = weights @ v[:, head, :]
-        h = h + _merge_heads(ctx) @ lw.w_o
-        normed = rms_norm_rows(h, lw.mlp_gain)
-        h = h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
-        if record_cache:
-            if cache is None:
-                raise InvalidArgumentError("record_cache requires a cache")
-            cache.append(layer_index - 1, positions, k, v)
-    return h
+    for layer in range(first - 1, last):
+        hidden = _layer(model, layer, hidden, positions, mask, cache)
+    return hidden
 
 
 def output_logits(model: Model, hidden: np.ndarray) -> np.ndarray:
@@ -405,26 +444,8 @@ def decode_step(model: Model, cache: KVCache, token_id: int, position: int) -> n
 
     h = embed(model, [token_id])
     pos_arr = np.array([position], dtype=np.int64)
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    for layer_index in range(cfg.num_layers):
-        lw = model.layers[layer_index]
-        normed = rms_norm_rows(h, lw.attn_gain)
-        q = rope_rotate_heads(_split_heads(normed @ lw.w_q, cfg.num_heads), pos_arr)
-        k = rope_rotate_heads(_split_heads(normed @ lw.w_k, cfg.num_heads), pos_arr)
-        v = _split_heads(normed @ lw.w_v, cfg.num_heads)
-        cache.append(layer_index, pos_arr, k, v)
-        keys, values = cache.keys(layer_index), cache.values(layer_index)
-        # one score row per head, so a single softmax call covers the layer
-        scores = np.empty((cfg.num_heads, keys.shape[0]))
-        for head in range(cfg.num_heads):
-            scores[head : head + 1] = (q[:, head, :] @ keys[:, head, :].T) * scale
-        weights = masked_softmax_rows(scores, np.ones(scores.shape, dtype=bool))
-        ctx = np.empty((1, cfg.num_heads, cfg.head_dim))
-        for head in range(cfg.num_heads):
-            ctx[:, head, :] = weights[head : head + 1] @ values[:, head, :]
-        h = h + _merge_heads(ctx) @ lw.w_o
-        normed = rms_norm_rows(h, lw.mlp_gain)
-        h = h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
+    for layer in range(cfg.num_layers):
+        h = _layer(model, layer, h, pos_arr, None, cache)
     return output_logits(model, h)[0]
 
 

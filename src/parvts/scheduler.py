@@ -48,6 +48,11 @@ class Strategy(str, enum.Enum):
     NONSUBJECT_FIRST = "NonSubjectFirst"
 
 
+def _check_fusion_weights(alpha: float, beta: float):
+    if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-12:
+        raise InvalidArgumentError("fusion weights must be >= 0 and sum to 1")
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     strategy: Strategy
@@ -68,8 +73,7 @@ class ScheduleConfig:
             raise InvalidArgumentError(
                 f"joint_prefix {j} outside [0, migration_depth {n}]"
             )
-        if self.alpha < 0 or self.beta < 0 or abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise InvalidArgumentError("fusion weights must be >= 0 and sum to 1")
+        _check_fusion_weights(self.alpha, self.beta)
 
 
 @dataclass
@@ -113,8 +117,7 @@ def fuse_question_states(t_non, t_sub, alpha: float, beta: float) -> np.ndarray:
         raise InvalidArgumentError(
             f"question-state shapes differ: {t_non.shape} vs {t_sub.shape}"
         )
-    if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-12:
-        raise InvalidArgumentError("fusion weights must be >= 0 and sum to 1")
+    _check_fusion_weights(alpha, beta)
     return alpha * t_non + beta * t_sub
 
 
@@ -145,27 +148,57 @@ def _check_strategy(cfg: ScheduleConfig, expected: Strategy):
         )
 
 
+def _collapsed(partition: Partition):
+    """The visual group a ParVTS run is left with when the other is empty, else None."""
+    if partition.keep_count == 0:
+        return "nonsubject-only"
+    if partition.nonsubject_indices.size == 0:
+        return "subject-only"
+    return None
+
+
+def _causal_phase(model, hidden, positions, layer_range, cache, counts, phase):
+    """Run `layer_range` over `positions` under a causal mask, caching every layer."""
+    hidden = run_layers(model, hidden, positions, layer_range, causal_mask(positions), cache)
+    counts[phase] = int(positions.size)
+    return hidden
+
+
+def _joint_prefix(model, ids, j, cache, counts):
+    """Embed every row and run the first j layers over all of them."""
+    full_pos = np.arange(ids.size, dtype=np.int64)
+    hidden = embed(model, ids)
+    if j >= 1:
+        hidden = _causal_phase(model, hidden, full_pos, (1, j), cache, counts, "joint_prefix")
+    return full_pos, hidden
+
+
+def _continuation(model, hidden, positions, n, cache, counts, phase="continuation"):
+    """Layers n+1..N over the rows that survive the migration layer."""
+    return _causal_phase(
+        model, hidden, positions, (n + 1, model.config.num_layers), cache, counts, phase
+    )
+
+
+def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
+    """Copies of the question rows and of the other rows at the migration layer."""
+    split = hidden.shape[0] - num_q
+    return {
+        "question_at_migration": hidden[split:].copy(),
+        "retained_at_migration": hidden[:split].copy(),
+    }
+
+
 def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResult:
     """Full causal prefill through every layer with a full cache."""
     ids = _check_inputs(model, token_ids, layout)
     positions = np.arange(ids.size, dtype=np.int64)
     cache = model.new_cache()
-    hidden = run_layers(
-        model,
-        embed(model, ids),
-        positions,
-        (1, model.config.num_layers),
-        causal_mask(positions),
-        cache,
-        record_cache=True,
+    counts: dict[str, int] = {}
+    hidden = _causal_phase(
+        model, embed(model, ids), positions, (1, model.config.num_layers), cache, counts, "full"
     )
-    return PrefillResult(
-        hidden,
-        cache,
-        positions,
-        phase_token_counts={"full": int(ids.size)},
-        diagnostics={},
-    )
+    return PrefillResult(hidden, cache, positions, counts, diagnostics={})
 
 
 def run_parvts_batch(
@@ -185,9 +218,7 @@ def run_parvts_batch(
     cfg.validate(model.config.num_layers)
     ids = _check_inputs(model, token_ids, layout, partition)
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
-    num_layers = model.config.num_layers
 
-    full_pos = np.arange(ids.size, dtype=np.int64)
     sub_pos = subject_positions(layout, partition)
     non_pos = nonsubject_positions(layout, partition)
     sys_pos = layout.system_positions()
@@ -196,22 +227,12 @@ def run_parvts_batch(
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    hidden = embed(model, ids)
-    if j >= 1:
-        hidden = run_layers(
-            model, hidden, full_pos, (1, j), causal_mask(full_pos), cache, True
-        )
-        counts["joint_prefix"] = int(ids.size)
+    _, hidden = _joint_prefix(model, ids, j, cache, counts)
 
     branch_sub_pos = np.concatenate([sys_pos, sub_pos, q_pos])
     branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
-    collapsed = None
-    if partition.keep_count == 0:
-        collapsed = "nonsubject-only"
-    elif partition.nonsubject_indices.size == 0:
-        collapsed = "subject-only"
-
-    diagnostics: dict = {"collapsed": collapsed, "system_identity_max_diff": []}
+    collapsed = _collapsed(partition)
+    identity_diffs: list[float] = []
 
     if collapsed is None:
         h_sub = hidden[branch_sub_pos]
@@ -220,45 +241,28 @@ def run_parvts_batch(
         mask_non = causal_mask(branch_non_pos)
         for layer in range(j + 1, n + 1):
             h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
-            h_sub = run_layers(
-                model, h_sub, branch_sub_pos, (layer, layer), mask_sub, cache, True
-            )
+            h_sub = run_layers(model, h_sub, branch_sub_pos, (layer, layer), mask_sub, cache)
             if num_sys:
-                diagnostics["system_identity_max_diff"].append(
-                    float(np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys])))
-                )
+                identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys]))))
         counts["branch_nonsubject"] = int(branch_non_pos.size)
         counts["branch_subject"] = int(branch_sub_pos.size)
-        fused_t = fuse_question_states(
-            h_non[-num_q:] if num_q else h_non[:0],
-            h_sub[-num_q:] if num_q else h_sub[:0],
-            cfg.alpha,
-            cfg.beta,
-        )
         retained = h_sub.copy()
+        retained[num_sys + sub_pos.size :] = fuse_question_states(
+            h_non[num_sys + non_pos.size :], h_sub[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
+        )
     else:
         sole_pos = branch_sub_pos if collapsed == "subject-only" else branch_non_pos
-        h_sole = hidden[sole_pos]
-        mask_sole = causal_mask(sole_pos)
-        h_sole = run_layers(model, h_sole, sole_pos, (j + 1, n), mask_sole, cache, True)
-        counts["single_branch"] = int(sole_pos.size)
-        fused_t = h_sole[-num_q:] if num_q else h_sole[:0]
-        retained = h_sole
+        retained = _causal_phase(
+            model, hidden[sole_pos], sole_pos, (j + 1, n), cache, counts, "single_branch"
+        )
         if collapsed == "nonsubject-only":
             # visual rows of the sole branch are non-subject: drop them now
-            keep = ~np.isin(sole_pos, non_pos)
-            retained = retained[keep]
+            retained = retained[~np.isin(sole_pos, non_pos)]
 
+    diagnostics = {"collapsed": collapsed, "system_identity_max_diff": identity_diffs}
+    diagnostics.update(_at_migration(retained, num_q))
     keep_pos = np.concatenate([sys_pos, sub_pos, q_pos])
-    if num_q:
-        retained[-num_q:] = fused_t
-    diagnostics["question_at_migration"] = fused_t.copy()
-    diagnostics["retained_at_migration"] = retained[: retained.shape[0] - num_q].copy()
-
-    hidden_out = run_layers(
-        model, retained, keep_pos, (n + 1, num_layers), causal_mask(keep_pos), cache, True
-    )
-    counts["continuation"] = int(keep_pos.size)
+    hidden_out = _continuation(model, retained, keep_pos, n, cache, counts)
 
     if non_pos.size:
         cache = cache.drop_positions(non_pos)
@@ -282,24 +286,17 @@ def run_parvts_masked(
     cfg.validate(model.config.num_layers)
     ids = _check_inputs(model, token_ids, layout, partition)
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
-    num_layers = model.config.num_layers
 
-    full_pos = np.arange(ids.size, dtype=np.int64)
     sub_pos = subject_positions(layout, partition)
     non_pos = nonsubject_positions(layout, partition)
     num_q = layout.question_span[1] - layout.question_span[0]
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    hidden = embed(model, ids)
-    if j >= 1:
-        hidden = run_layers(
-            model, hidden, full_pos, (1, j), causal_mask(full_pos), cache, True
-        )
-        counts["joint_prefix"] = int(ids.size)
+    full_pos, hidden = _joint_prefix(model, ids, j, cache, counts)
     if n > j:
         exclusive = group_exclusive_mask(full_pos, sub_pos, non_pos)
-        hidden = run_layers(model, hidden, full_pos, (j + 1, n), exclusive, cache, True)
+        hidden = run_layers(model, hidden, full_pos, (j + 1, n), exclusive, cache)
         counts["exclusive_mask"] = int(ids.size)
 
     keep = ~np.isin(full_pos, non_pos)
@@ -308,20 +305,8 @@ def run_parvts_masked(
     if non_pos.size:
         cache = cache.drop_positions(non_pos)
 
-    diagnostics = {
-        "collapsed": (
-            "nonsubject-only"
-            if partition.keep_count == 0
-            else "subject-only" if partition.nonsubject_indices.size == 0 else None
-        ),
-        "question_at_migration": hidden[-num_q:].copy() if num_q else hidden[:0],
-        "retained_at_migration": hidden[: hidden.shape[0] - num_q].copy(),
-    }
-
-    hidden = run_layers(
-        model, hidden, keep_pos, (n + 1, num_layers), causal_mask(keep_pos), cache, True
-    )
-    counts["continuation"] = int(keep_pos.size)
+    diagnostics = {"collapsed": _collapsed(partition), **_at_migration(hidden, num_q)}
+    hidden = _continuation(model, hidden, keep_pos, n, cache, counts)
     return PrefillResult(hidden, cache, keep_pos, counts, diagnostics)
 
 
@@ -329,57 +314,46 @@ def _run_sequential(
     model: Model,
     token_ids,
     layout: SequenceLayout,
-    first_group_pos: np.ndarray,
-    second_group_pos: np.ndarray,
+    partition: Partition,
     cfg: ScheduleConfig,
-    phase_names: tuple[str, str],
+    strategy: Strategy,
 ) -> PrefillResult:
-    ids = _check_inputs(model, token_ids, layout)
-    n = cfg.migration_depth
-    num_layers = model.config.num_layers
+    """One visual group through layers 1..n, then the other through n+1..N."""
+    _check_strategy(cfg, strategy)
+    cfg.validate(model.config.num_layers)
+    ids = _check_inputs(model, token_ids, layout, partition)
+    groups = (subject_positions(layout, partition), nonsubject_positions(layout, partition))
+    names = ("subject_stage", "nonsubject_stage")
+    if strategy is Strategy.NONSUBJECT_FIRST:
+        groups, names = groups[::-1], names[::-1]
+    first_group_pos, second_group_pos = groups
     sys_pos = layout.system_positions()
     q_pos = layout.question_positions()
-    num_q = q_pos.size
+    num_sys, num_q = sys_pos.size, q_pos.size
 
     stage1_pos = np.concatenate([sys_pos, first_group_pos, q_pos])
     cache = model.new_cache()
-    h1 = run_layers(
-        model,
-        embed(model, ids[stage1_pos]),
-        stage1_pos,
-        (1, n),
-        causal_mask(stage1_pos),
-        cache,
-        True,
+    counts: dict[str, int] = {}
+    h1 = _causal_phase(
+        model, embed(model, ids[stage1_pos]), stage1_pos, (1, cfg.migration_depth),
+        cache, counts, names[0],
     )
 
     # ReplaceVision: swap the visual slots for the other group's embeddings
     # while the system and question hidden states persist.
     stage2_pos = np.concatenate([sys_pos, second_group_pos, q_pos])
-    h2 = np.empty((stage2_pos.size, model.config.hidden_dim), dtype=np.float64)
-    h2[: sys_pos.size] = h1[: sys_pos.size]
-    h2[sys_pos.size : sys_pos.size + second_group_pos.size] = embed(
-        model, ids[second_group_pos]
+    h2 = np.concatenate(
+        [h1[:num_sys], embed(model, ids[second_group_pos]), h1[num_sys + first_group_pos.size :]]
     )
-    if num_q:
-        h2[-num_q:] = h1[-num_q:]
 
     diagnostics = {
         "collapsed": (
             "stage2-empty" if second_group_pos.size == 0
             else "stage1-empty" if first_group_pos.size == 0 else None
         ),
-        "question_at_migration": h1[-num_q:].copy() if num_q else h1[:0],
-        "retained_at_migration": h1[: h1.shape[0] - num_q].copy(),
+        **_at_migration(h1, num_q),
     }
-
-    hidden = run_layers(
-        model, h2, stage2_pos, (n + 1, num_layers), causal_mask(stage2_pos), cache, True
-    )
-    counts = {
-        phase_names[0]: int(stage1_pos.size),
-        phase_names[1]: int(stage2_pos.size),
-    }
+    hidden = _continuation(model, h2, stage2_pos, cfg.migration_depth, cache, counts, names[1])
     return PrefillResult(hidden, cache, stage2_pos, counts, diagnostics)
 
 
@@ -391,18 +365,7 @@ def run_subject_first(
     cfg: ScheduleConfig,
 ) -> PrefillResult:
     """Subject tokens through the early layers, non-subject embeddings after."""
-    _check_strategy(cfg, Strategy.SUBJECT_FIRST)
-    cfg.validate(model.config.num_layers)
-    _check_inputs(model, token_ids, layout, partition)
-    return _run_sequential(
-        model,
-        token_ids,
-        layout,
-        subject_positions(layout, partition),
-        nonsubject_positions(layout, partition),
-        cfg,
-        ("subject_stage", "nonsubject_stage"),
-    )
+    return _run_sequential(model, token_ids, layout, partition, cfg, Strategy.SUBJECT_FIRST)
 
 
 def run_nonsubject_first(
@@ -413,18 +376,7 @@ def run_nonsubject_first(
     cfg: ScheduleConfig,
 ) -> PrefillResult:
     """Mirror of SubjectFirst with the two visual groups exchanged."""
-    _check_strategy(cfg, Strategy.NONSUBJECT_FIRST)
-    cfg.validate(model.config.num_layers)
-    _check_inputs(model, token_ids, layout, partition)
-    return _run_sequential(
-        model,
-        token_ids,
-        layout,
-        nonsubject_positions(layout, partition),
-        subject_positions(layout, partition),
-        cfg,
-        ("nonsubject_stage", "subject_stage"),
-    )
+    return _run_sequential(model, token_ids, layout, partition, cfg, Strategy.NONSUBJECT_FIRST)
 
 
 _RUNNERS = {

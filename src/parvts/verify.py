@@ -315,11 +315,7 @@ def check_cost_identities(_: _Context) -> CheckResult:
             d=int(gen.integers(1, 513)),
             m=int(gen.integers(1, 2049)),
         )
-        params = CostParams(
-            p=params.p, n=int(gen.integers(1, params.N + 1)), N=params.N,
-            L_text=params.L_text, L_img=params.L_img, M=params.M,
-            d=params.d, m=params.m,
-        )
+        params = replace(params, n=int(gen.integers(1, params.N + 1)))
         stepwise = decoding_flops_vanilla(params, mode="stepwise")
         closed = decoding_flops_vanilla(params, mode="closed")
         if stepwise != closed:

@@ -7,11 +7,13 @@ from parvts.cost import (
     cost_report,
     csv_row,
     decoding_flops_parvts,
+    decoding_flops_sequential,
     decoding_flops_vanilla,
     flops_layer,
     migration_depth_for,
     preset_migration_depths,
     prefill_flops_parvts,
+    prefill_flops_sequential,
     prefill_flops_vanilla,
     speedup_decoding,
     speedup_prefill,
@@ -103,6 +105,23 @@ class TestDecodingParvts:
     def test_independent_of_migration_depth(self):
         values = {decoding_flops_parvts(params(n=n)) for n in range(1, 5)}
         assert len(values) == 1
+
+
+class TestSequential:
+    def test_prefill_hand_evaluation(self):
+        p = params(n=1, N=4, L_text=2, L_img=3)
+        assert prefill_flops_sequential(p, 1) == 648.0  # 120 + 3 * 176
+
+    def test_all_visual_in_stage_one_at_full_depth_equals_vanilla(self):
+        p = params(n=4, N=4)
+        assert prefill_flops_sequential(p, 3) == prefill_flops_vanilla(p)
+
+    def test_decoding_hand_evaluation(self):
+        p = params(N=1, n=1, d=1, m=1, L_text=1, L_img=1, M=3)
+        assert decoding_flops_sequential(p, 1) == 36.0  # 3 * (6 + 2 * (2 + 1))
+
+    def test_decoding_zero_steps(self):
+        assert decoding_flops_sequential(params(M=0), 1) == 0.0
 
 
 class TestSpeedups:

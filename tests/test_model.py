@@ -15,8 +15,10 @@ from parvts.model import (
     run_layers,
     validate_mask,
 )
+import parvts.model
 from parvts.harness import synthesize_token_ids
 from parvts.oracle import reference_prefill, reference_run
+from parvts.scheduler import group_exclusive_mask
 
 
 def small_config(**overrides):
@@ -120,7 +122,6 @@ class TestRunLayers:
             (1, 2),
             causal_mask(positions),
             cache,
-            record_cache=True,
         )
         for layer in range(2):
             np.testing.assert_array_equal(cache.positions(layer), positions)
@@ -170,7 +171,7 @@ class TestDecode:
         cache = model.new_cache()
         pos = np.arange(6)
         run_layers(
-            model, embed(model, ids), pos, (1, 2), causal_mask(pos), cache, True
+            model, embed(model, ids), pos, (1, 2), causal_mask(pos), cache
         )
         decode_step(model, cache, extra[0], 6)
         stepped = decode_step(model, cache, extra[1], 7)
@@ -190,17 +191,64 @@ class TestDecode:
 
         cache_a = model.new_cache()
         pos = np.arange(5)
-        run_layers(model, embed(model, ids), pos, (1, 2), causal_mask(pos), cache_a, True)
+        run_layers(model, embed(model, ids), pos, (1, 2), causal_mask(pos), cache_a)
         tokens_a = greedy_decode(model, cache_a, start, 3)
 
         cache_b = model.new_cache()
         longer = np.array(ids + [start])
         pos_b = np.arange(6)
         run_layers(
-            model, embed(model, longer), pos_b, (1, 2), causal_mask(pos_b), cache_b, True
+            model, embed(model, longer), pos_b, (1, 2), causal_mask(pos_b), cache_b
         )
         tokens_b = greedy_decode(model, cache_b, tokens_a[0], 2)
         assert tokens_b == tokens_a[1:]
+
+
+class TestAttentionGrouping:
+    """Heads share a softmax call in groups of ceil(heads / rows)."""
+
+    @pytest.mark.parametrize("heads", [4, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
+    def test_few_rows_match_reference(self, heads, rows, masking):
+        model = build_model(small_config(hidden_dim=4 * heads, num_heads=heads, num_layers=3))
+        pos = np.array([0, 2, 3, 5, 7])[:rows]
+        mask = causal_mask(pos)
+        if masking == "group_exclusive":
+            mask = group_exclusive_mask(pos, pos[1:2], pos[2:4])
+        hidden = embed(model, synthesize_token_ids(model.config, rows))
+        out = run_layers(model, hidden, pos, (1, 3), mask)
+        expected = reference_run(model, hidden, pos, mask, 1, 3)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _count_softmax_calls(monkeypatch):
+        calls = []
+        inner = parvts.model.masked_softmax_rows
+
+        def counting(scores, mask):
+            calls.append(np.shape(scores))
+            return inner(scores, mask)
+
+        monkeypatch.setattr(parvts.model, "masked_softmax_rows", counting)
+        return calls
+
+    def test_decode_step_makes_one_call_per_layer(self, monkeypatch):
+        model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
+        cache = model.new_cache()
+        pos = np.arange(5)
+        run_layers(model, embed(model, [1, 2, 3, 4, 5]), pos, (1, 3), causal_mask(pos), cache)
+        calls = self._count_softmax_calls(monkeypatch)
+        decode_step(model, cache, 6, 5)
+        assert calls == [(4, 6)] * 3
+
+    @pytest.mark.parametrize("rows, per_layer", [(1, 1), (2, 2), (3, 2), (4, 4), (6, 4)])
+    def test_run_layers_calls_per_layer(self, monkeypatch, rows, per_layer):
+        model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
+        pos = np.arange(rows)
+        calls = self._count_softmax_calls(monkeypatch)
+        run_layers(model, embed(model, np.arange(rows) + 1), pos, (1, 3), causal_mask(pos))
+        assert len(calls) == per_layer * 3
 
 
 class TestGreedyDecode:
@@ -215,7 +263,7 @@ class TestGreedyDecode:
             cache = model.new_cache()
             pos = np.arange(4)
             run_layers(
-                model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), cache, True
+                model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), cache
             )
             runs.append(greedy_decode(model, cache, 5, 4))
         assert runs[0] == runs[1]
@@ -225,11 +273,11 @@ class TestGreedyDecode:
         cache = model.new_cache()
         pos = np.arange(4)
         run_layers(
-            model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), cache, True
+            model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), cache
         )
         replay_cache = model.new_cache()
         run_layers(
-            model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), replay_cache, True
+            model, embed(model, [1, 2, 3, 4]), pos, (1, 2), causal_mask(pos), replay_cache
         )
         decoded = greedy_decode(model, cache, 5, 3)
         token, position = 5, 4
