@@ -5,6 +5,7 @@ the saliency vector, and the top-k indices become the subject group that
 survives pruning. Scores can also come from a plain text file.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -42,5 +43,6 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
     fh.write("# CLIP-style scores, one per visual token\n0.4\n0.1\n0.3\n0.2\n")
     path = fh.name
 loaded = load_saliency(path)
+os.remove(path)
 print("\nloaded from file:", loaded.values.tolist())
 print("top-2 of the file:", partition_topk(loaded, 2).subject_indices.tolist())

@@ -10,7 +10,8 @@ import argparse
 import itertools
 import sys
 import traceback
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 
 from .configfile import (
     ConfigError,
@@ -23,7 +24,8 @@ from .errors import InvalidArgumentError, InvalidMaskError, SaliencyFormatError
 from .harness import SWEEP_HEADER, run_experiment, serialize_report, sweep_cost
 from .verify import render_results, run_checks
 
-_GRID_PARAMS = ("p", "n", "N", "L_text", "L_img", "M", "d", "m")
+# cost input name -> type, in CostParams field order
+_COST_INPUTS = typing.get_type_hints(CostParams)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,14 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cost_p = sub.add_parser("cost", help="print the analytic cost report")
     cost_p.add_argument("--config", help="config file supplying cost.* defaults")
     cost_p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    cost_p.add_argument("--p", type=float)
-    cost_p.add_argument("--n", type=int)
-    cost_p.add_argument("--N", type=int)
-    cost_p.add_argument("--L_text", type=int)
-    cost_p.add_argument("--L_img", type=int)
-    cost_p.add_argument("--M", type=int)
-    cost_p.add_argument("--d", type=int)
-    cost_p.add_argument("--m", type=int)
+    for name, kind in _COST_INPUTS.items():
+        cost_p.add_argument(f"--{name}", type=kind)
     cost_p.add_argument("--L", type=int, help="optional; must equal L_text + L_img")
     cost_p.add_argument(
         "--preset", metavar="BACKBONE",
@@ -74,10 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     resolved = load_config(args.config, args.set)
-    config = replace(experiment_config_from(resolved), output_path=args.out)
-    report = run_experiment(config, config_echo=resolved)
+    report = run_experiment(experiment_config_from(resolved), config_echo=resolved)
     text = serialize_report(report)
-    with open(config.output_path, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     main_block = report.blocks[-1]
     print(
@@ -90,22 +85,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_cost(args) -> int:
     resolved = load_config(args.config, args.set)
-    n = args.n
+    flags = {name: getattr(args, name) for name in _COST_INPUTS}
     if args.preset is not None:
-        n = migration_depth_for(args.preset)
-        if n is None:
+        flags["n"] = migration_depth_for(args.preset)
+        if flags["n"] is None:
             raise ConfigError(f"unknown preset backbone {args.preset!r}")
-    params = cost_params_from(
-        resolved, p=args.p, n=n, N=args.N, L_text=args.L_text,
-        L_img=args.L_img, M=args.M, d=args.d, m=args.m, L=args.L,
-    )
+    params = cost_params_from(resolved, **flags)
+    if args.L is not None and args.L != params.L:
+        raise ConfigError(f"L = {args.L} but L_text + L_img = {params.L}")
     report = cost_report(params)
-    for name in (
-        "prefill_flops_vanilla", "prefill_flops_parvts",
-        "decoding_flops_vanilla", "decoding_flops_parvts",
-        "rho_prefill", "rho_decoding",
-    ):
-        print(f"{name} = {getattr(report, name)!r}")
+    for f in fields(report):
+        print(f"{f.name} = {getattr(report, f.name)!r}")
     return 0
 
 
@@ -114,10 +104,10 @@ def _parse_axis(spec: str) -> tuple[str, list]:
         raise ConfigError(f"grid axis {spec!r} is not of the form param=values")
     name, _, body = spec.partition("=")
     name = name.strip()
-    if name not in _GRID_PARAMS:
+    if name not in _COST_INPUTS:
         raise ConfigError(f"unknown sweep parameter {name!r}")
     body = body.strip()
-    cast = float if name == "p" else int
+    cast = _COST_INPUTS[name]
     try:
         if ":" in body:
             parts = body.split(":")
@@ -144,17 +134,11 @@ def _cmd_sweep(args) -> int:
     resolved = load_config(args.config, args.set)
     base = cost_params_from(resolved)
     axes = [_parse_axis(spec) for spec in args.grid]
-    points = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        fields = {
-            "p": base.p, "n": base.n, "N": base.N, "L_text": base.L_text,
-            "L_img": base.L_img, "M": base.M, "d": base.d, "m": base.m,
-        }
-        fields.update({name: value for (name, _), value in zip(axes, combo)})
-        try:
-            points.append(CostParams(**fields))
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from exc
+    names = [name for name, _ in axes]
+    points = [
+        replace(base, **dict(zip(names, combo)))
+        for combo in itertools.product(*(values for _, values in axes))
+    ]
     rows = sweep_cost(points)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")

@@ -7,6 +7,8 @@ documented defaults below, and `--set` style overrides win over the file.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .cost import CostParams
 from .errors import InvalidArgumentError
 from .harness import ExperimentConfig
@@ -162,19 +164,8 @@ def experiment_config_from(resolved: dict[str, str]) -> ExperimentConfig:
 def cost_params_from(resolved: dict[str, str], **flag_overrides) -> CostParams:
     """CostParams from the cost.* section, with CLI flags taking precedence."""
     values = typed(resolved)
-    merged = {
-        "p": values["cost.p"],
-        "n": values["cost.n"],
-        "N": values["cost.N"],
-        "L_text": values["cost.L_text"],
-        "L_img": values["cost.L_img"],
-        "M": values["cost.M"],
-        "d": values["cost.d"],
-        "m": values["cost.m"],
-    }
-    for name, value in flag_overrides.items():
-        if value is not None:
-            merged[name] = value
+    merged = {f.name: values[f"cost.{f.name}"] for f in fields(CostParams)}
+    merged.update((name, value) for name, value in flag_overrides.items() if value is not None)
     try:
         return CostParams(**merged)
     except InvalidArgumentError as exc:

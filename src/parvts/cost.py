@@ -14,7 +14,7 @@ visual group through the first n layers and the other through the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidArgumentError
 
@@ -41,7 +41,7 @@ STEPWISE_SUM_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class CostParams:
-    """Inputs of the analytic model; L is stored redundantly and validated."""
+    """Inputs of the analytic model; the prompt length L = L_text + L_img is derived."""
 
     p: float
     n: int
@@ -51,15 +51,8 @@ class CostParams:
     M: int
     d: int
     m: int
-    L: int = -1  # -1 means "derive from L_text + L_img"
 
     def __post_init__(self):
-        if self.L < 0:
-            object.__setattr__(self, "L", self.L_text + self.L_img)
-        if self.L != self.L_text + self.L_img:
-            raise InvalidArgumentError(
-                f"L = {self.L} but L_text + L_img = {self.L_text + self.L_img}"
-            )
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgumentError("pruning rate p must lie in [0, 1]")
         if not 1 <= self.n <= self.N:
@@ -68,15 +61,21 @@ class CostParams:
             raise InvalidArgumentError("counts must be non-negative")
 
     @property
+    def L(self) -> int:
+        return self.L_text + self.L_img
+
+    @property
     def reduced_length(self) -> float:
         return self.L_text + (1.0 - self.p) * self.L_img
 
 
 @dataclass(frozen=True)
 class CostReport:
+    """Outputs of the analytic model, in the order `parvts cost` prints them."""
+
     prefill_flops_vanilla: float
-    decoding_flops_vanilla: float
     prefill_flops_parvts: float
+    decoding_flops_vanilla: float
     decoding_flops_parvts: float
     rho_prefill: float
     rho_decoding: float
@@ -192,22 +191,10 @@ def migration_depth_for(name: str):
     return None
 
 
-CSV_COLUMNS = (
-    "p", "n", "N", "L_text", "L_img", "M", "d", "m",
-    "prefill_flops_vanilla", "prefill_flops_parvts",
-    "decoding_flops_vanilla", "decoding_flops_parvts",
-    "rho_prefill", "rho_decoding",
-)
+CSV_COLUMNS = tuple(f.name for cls in (CostParams, CostReport) for f in fields(cls))
 
 
 def csv_row(params: CostParams) -> str:
-    """One sweep row in the fixed column order of CSV_COLUMNS."""
+    """One sweep row: the fields of `params`, then those of its cost report."""
     report = cost_report(params)
-    cells = [
-        repr(params.p), str(params.n), str(params.N), str(params.L_text),
-        str(params.L_img), str(params.M), str(params.d), str(params.m),
-        repr(report.prefill_flops_vanilla), repr(report.prefill_flops_parvts),
-        repr(report.decoding_flops_vanilla), repr(report.decoding_flops_parvts),
-        repr(report.rho_prefill), repr(report.rho_decoding),
-    ]
-    return ",".join(cells)
+    return ",".join(str(getattr(obj, f.name)) for obj in (params, report) for f in fields(obj))

@@ -53,7 +53,6 @@ class ExperimentConfig:
     schedule: ScheduleConfig
     decode_steps: int
     strategies: tuple[Strategy, ...]
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.num_visual < 1:
@@ -188,7 +187,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
     partition = partition_topk(saliency, config.keep_count)
 
     params = CostParams(
-        p=1.0 - config.keep_count / config.num_visual,
+        p=partition.pruning_rate,
         n=config.schedule.migration_depth,
         N=config.model.num_layers,
         L_text=config.num_system + config.num_question,

@@ -79,33 +79,31 @@ def masked_softmax_rows(scores, mask) -> np.ndarray:
     return out
 
 
-def rms_norm(x, gain, eps: float = RMS_NORM_EPS) -> np.ndarray:
-    """x / sqrt(mean(x^2) + eps), elementwise times gain."""
+def rms_norm(x, gain) -> np.ndarray:
+    """x / sqrt(mean(x^2) + RMS_NORM_EPS), elementwise times gain."""
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if x.shape != gain.shape or x.ndim != 1:
         raise InvalidArgumentError(
             f"vector/gain length mismatch: {x.shape} vs {gain.shape}"
         )
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
-    return x / np.sqrt(np.mean(x * x) + eps) * gain
+    return x / np.sqrt(np.mean(x * x) + RMS_NORM_EPS) * gain
 
 
-def rms_norm_rows(x, gain, eps: float = RMS_NORM_EPS) -> np.ndarray:
+def rms_norm_rows(x, gain) -> np.ndarray:
     """Row-wise rms_norm of a matrix against a single gain vector."""
     x = as_matrix(x)
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape != (x.shape[1],):
         raise InvalidArgumentError("gain length does not match row width")
-    scale = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+    scale = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_NORM_EPS)
     return x * scale * gain
 
 
-def rope_apply(vec, position: int, theta_base: float = ROPE_THETA_BASE) -> np.ndarray:
+def rope_apply(vec, position: int) -> np.ndarray:
     """Rotate consecutive (even, odd) pairs of a head vector by position-scaled angles.
 
-    Pair p uses frequency theta_base ** (-2p / dim); position 0 is the identity.
+    Pair p uses frequency ROPE_THETA_BASE ** (-2p / dim); position 0 is the identity.
     """
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1 or vec.size % 2 != 0:
@@ -113,7 +111,7 @@ def rope_apply(vec, position: int, theta_base: float = ROPE_THETA_BASE) -> np.nd
     if position < 0:
         raise InvalidArgumentError("position must be non-negative")
     dim = vec.size
-    freqs = theta_base ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
+    freqs = ROPE_THETA_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     angles = position * freqs
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = vec[0::2], vec[1::2]
@@ -123,7 +121,7 @@ def rope_apply(vec, position: int, theta_base: float = ROPE_THETA_BASE) -> np.nd
     return out
 
 
-def rope_rotate_heads(x, positions, theta_base: float = ROPE_THETA_BASE) -> np.ndarray:
+def rope_rotate_heads(x, positions) -> np.ndarray:
     """Vectorized rope_apply over an (rows, heads, head_dim) array.
 
     positions holds one original token index per row.
@@ -133,7 +131,7 @@ def rope_rotate_heads(x, positions, theta_base: float = ROPE_THETA_BASE) -> np.n
         raise InvalidArgumentError("expected (rows, heads, even head_dim)")
     positions = np.asarray(positions, dtype=np.float64)
     dim = x.shape[2]
-    freqs = theta_base ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
+    freqs = ROPE_THETA_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     angles = positions[:, None, None] * freqs[None, None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = x[..., 0::2], x[..., 1::2]

@@ -38,13 +38,11 @@ class Partition:
     """Subject vs. non-subject visual-token index sets (visual-segment relative).
 
     Both index arrays are strictly increasing, disjoint, and together cover
-    0..num_visual-1. pruning_rate is 1 - keep_count / num_visual.
+    0..num_visual-1. keep_count and pruning_rate derive from them.
     """
 
     subject_indices: np.ndarray
     nonsubject_indices: np.ndarray
-    keep_count: int
-    pruning_rate: float
 
     def __post_init__(self):
         sub = np.asarray(self.subject_indices, dtype=np.int64)
@@ -57,14 +55,22 @@ class Partition:
         merged = np.concatenate([sub, non])
         if np.unique(merged).size != total or (total and merged.max() >= total):
             raise InvalidArgumentError("index sets must partition 0..num_visual-1")
-        if sub.size != self.keep_count:
-            raise InvalidArgumentError("keep_count does not match subject set size")
         object.__setattr__(self, "subject_indices", sub)
         object.__setattr__(self, "nonsubject_indices", non)
 
     @property
     def num_visual(self) -> int:
         return self.subject_indices.size + self.nonsubject_indices.size
+
+    @property
+    def keep_count(self) -> int:
+        return self.subject_indices.size
+
+    @property
+    def pruning_rate(self) -> float:
+        """1 - keep_count / num_visual, or 0.0 when there are no visual tokens."""
+        n = self.num_visual
+        return 1.0 - self.keep_count / n if n else 0.0
 
 
 def toy_cls_attention(patch_embeddings, seed: int) -> SaliencyScores:
@@ -97,12 +103,7 @@ def partition_topk(saliency: SaliencyScores, keep_count: int) -> Partition:
     order = np.argsort(-saliency.values, kind="stable")
     subject = np.sort(order[:keep_count])
     nonsubject = np.sort(order[keep_count:])
-    return Partition(
-        subject_indices=subject,
-        nonsubject_indices=nonsubject,
-        keep_count=keep_count,
-        pruning_rate=1.0 - keep_count / n if n else 0.0,
-    )
+    return Partition(subject_indices=subject, nonsubject_indices=nonsubject)
 
 
 def load_saliency(path) -> SaliencyScores:

@@ -385,7 +385,7 @@ def check_cost_monotonicity(_: _Context) -> CheckResult:
     return CheckResult("cost_model_monotonicity", ok, detail)
 
 
-def ratio_fit(l_text_range=range(10, 201)):
+def ratio_fit():
     """Best L_text and the prefill percentage per budget at that fit."""
     n = migration_depth_for("LLaVA-1.5-7B")
 
@@ -400,7 +400,7 @@ def ratio_fit(l_text_range=range(10, 201)):
         return out
 
     best_l, best_dev, best_ratios = None, None, None
-    for l_text in l_text_range:
+    for l_text in range(10, 201):
         r = ratios(l_text)
         dev = sum(abs(a - b) for a, b in zip(r, RATIO_FIT_TARGETS))
         if best_dev is None or dev < best_dev:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from parvts.configfile import (
     resolve,
 )
 from parvts.scheduler import Strategy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_CONFIG = """\
 # desk-scale run
@@ -101,29 +104,28 @@ class TestCmdRun:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--out", "report.txt"]) == 0
 
-    def test_report_echo_replays_identically(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text(MINIMAL_CONFIG)
+    @staticmethod
+    def _assert_echo_replays(tmp_path, config, overrides):
+        """Feeding a report's config block back in as a file reproduces the report."""
         first_out = tmp_path / "first.txt"
-        assert main(["run", "--config", str(config), "--set", "schedule.alpha=0.25",
-                     "--set", "schedule.beta=0.75", "--out", str(first_out)]) == 0
+        argv = ["run", "--config", str(config), "--out", str(first_out)]
+        assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 0
         first = first_out.read_text()
-
-        # extract the echoed config block and use it as a standalone config file
-        echo_lines = []
-        inside = False
-        for line in first.splitlines():
-            if line == "config {":
-                inside = True
-            elif inside and line == "}":
-                break
-            elif inside:
-                echo_lines.append(line.strip())
+        echo = first.split("config {\n", 1)[1].split("\n}\n", 1)[0]
         replay_config = tmp_path / "replay.cfg"
-        replay_config.write_text("\n".join(echo_lines) + "\n")
+        replay_config.write_text(echo + "\n")
         second_out = tmp_path / "second.txt"
         assert main(["run", "--config", str(replay_config), "--out", str(second_out)]) == 0
         assert second_out.read_text() == first
+
+    def test_report_echo_replays_identically(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(MINIMAL_CONFIG)
+        self._assert_echo_replays(tmp_path, config, ["schedule.alpha=0.25", "schedule.beta=0.75"])
+
+    def test_demo_config_echo_replays_identically(self, tmp_path):
+        overrides = ["schedule.alpha=0.25", "schedule.beta=.75", "tokens.visual=20", "cost.p=0.25"]
+        self._assert_echo_replays(tmp_path, ROOT / "demos" / "experiment.cfg", overrides)
 
 
 class TestCmdCost:

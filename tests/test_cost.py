@@ -181,12 +181,8 @@ class TestMonotonicity:
 
 
 class TestCostParams:
-    def test_redundant_length_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            CostParams(p=0.5, n=1, N=2, L_text=2, L_img=3, M=1, d=1, m=1, L=9)
-
-    def test_explicit_consistent_length_accepted(self):
-        CostParams(p=0.5, n=1, N=2, L_text=2, L_img=3, M=1, d=1, m=1, L=5)
+    def test_length_is_derived(self):
+        assert CostParams(p=0.5, n=1, N=2, L_text=2, L_img=3, M=1, d=1, m=1).L == 5
 
     def test_pruning_rate_bounds(self):
         with pytest.raises(InvalidArgumentError):

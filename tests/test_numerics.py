@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from parvts.errors import InvalidArgumentError, InvalidMaskError
 from parvts.numerics import (
+    RMS_NORM_EPS,
     RngState,
     masked_softmax_rows,
     matmul,
@@ -117,8 +118,8 @@ class TestMaskedSoftmax:
 class TestRmsNorm:
     def test_unit_rms_vector(self):
         x = np.ones(4)
-        out = rms_norm(x, np.ones(4), eps=1e-300)
-        np.testing.assert_allclose(out, x, atol=1e-12)
+        out = rms_norm(x, np.ones(4))
+        np.testing.assert_allclose(out, x / np.sqrt(1.0 + RMS_NORM_EPS), atol=1e-12)
 
     def test_zero_input(self):
         np.testing.assert_array_equal(rms_norm(np.zeros(5), np.ones(5)), np.zeros(5))

@@ -136,8 +136,6 @@ class TestPartitionInvariants:
             Partition(
                 subject_indices=np.array([0, 1]),
                 nonsubject_indices=np.array([1, 2]),
-                keep_count=2,
-                pruning_rate=0.5,
             )
 
     def test_unsorted_rejected(self):
@@ -145,9 +143,16 @@ class TestPartitionInvariants:
             Partition(
                 subject_indices=np.array([2, 0]),
                 nonsubject_indices=np.array([1]),
-                keep_count=2,
-                pruning_rate=1 / 3,
             )
+
+    def test_counts_derive_from_index_sets(self):
+        part = Partition(
+            subject_indices=np.array([0, 1]),
+            nonsubject_indices=np.array([2, 3, 4, 5]),
+        )
+        assert part.keep_count == 2
+        assert part.pruning_rate == 1.0 - 2 / 6
+        assert Partition(subject_indices=np.arange(0), nonsubject_indices=np.arange(0)).pruning_rate == 0.0
 
 
 class TestLoadSaliency:

@@ -118,8 +118,6 @@ class TestParvtsBatch:
         all_kept = Partition(
             subject_indices=np.arange(layout.num_visual),
             nonsubject_indices=np.arange(0),
-            keep_count=layout.num_visual,
-            pruning_rate=0.0,
         )
         result = run_parvts_batch(model, ids, layout, all_kept, batch_cfg(4, 0.0, 1.0))
         vanilla = run_vanilla(model, ids, layout)
@@ -261,8 +259,6 @@ class TestSequentialSchedules:
         swapped = Partition(
             subject_indices=partition.nonsubject_indices,
             nonsubject_indices=partition.subject_indices,
-            keep_count=int(partition.nonsubject_indices.size),
-            pruning_rate=1.0 - partition.nonsubject_indices.size / layout.num_visual,
         )
         a = run_subject_first(model, ids, layout, swapped, cfg_a)
         b = run_nonsubject_first(model, ids, layout, partition, cfg_b)
