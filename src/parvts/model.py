@@ -9,7 +9,7 @@ original position in the full sequence layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -227,20 +227,18 @@ class Model:
     def parameter_count(self) -> int:
         count = self.embedding.size + self.final_gain.size + self.lm_head.size
         for lw in self.layers:
-            count += sum(
-                getattr(lw, name).size
-                for name in (
-                    "attn_gain", "w_q", "w_k", "w_v", "w_o",
-                    "mlp_gain", "w_gate", "w_up", "w_down",
-                )
-            )
+            count += sum(getattr(lw, f.name).size for f in fields(LayerWeights))
         return count
 
     def parameter_checksum(self) -> float:
+        """Float sum of the embedding, final gain, output head and each layer's
+        weight matrices (not its gains), added in LayerWeights' field order."""
         total = float(np.sum(self.embedding) + np.sum(self.final_gain) + np.sum(self.lm_head))
         for lw in self.layers:
-            for name in ("w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down"):
-                total += float(np.sum(getattr(lw, name)))
+            for f in fields(LayerWeights):
+                weight = getattr(lw, f.name)
+                if weight.ndim == 2:
+                    total += float(np.sum(weight))
         return total
 
     def new_cache(self) -> KVCache:
@@ -334,8 +332,9 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.
     Heads go through masked_softmax_rows in groups of ceil(heads / rows) with
     their score rows stacked, so a one-row decode step makes one softmax call
     per layer while a prefill keeps one rows x keys score matrix per head.
-    Every score and AV product stays a full-height per-head matmul, and query
-    rows are never split, so the grouping does not change a single bit.
+    The softmax runs in place on that score buffer. Every score and AV product
+    stays a full-height, full-width per-head matmul, and query rows are never
+    split, so neither the grouping nor the softmax's row tiles change a bit.
     """
     rows, heads, head_dim = q.shape
     scale = 1.0 / np.sqrt(head_dim)
@@ -352,9 +351,9 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.
         for i, head in enumerate(members):
             np.matmul(q[:, head, :], keys[:, head, :].T, out=block[i * rows : (i + 1) * rows])
         block *= scale
-        weights = masked_softmax_rows(block, mask[: block.shape[0]])
+        masked_softmax_rows(block, mask[: block.shape[0]], out=block)
         for i, head in enumerate(members):
-            ctx[:, head, :] = weights[i * rows : (i + 1) * rows] @ values[:, head, :]
+            ctx[:, head, :] = block[i * rows : (i + 1) * rows] @ values[:, head, :]
     return ctx
 
 

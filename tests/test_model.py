@@ -226,9 +226,9 @@ class TestAttentionGrouping:
         calls = []
         inner = parvts.model.masked_softmax_rows
 
-        def counting(scores, mask):
+        def counting(scores, mask, out=None):
             calls.append(np.shape(scores))
-            return inner(scores, mask)
+            return inner(scores, mask, out=out)
 
         monkeypatch.setattr(parvts.model, "masked_softmax_rows", counting)
         return calls
@@ -249,6 +249,65 @@ class TestAttentionGrouping:
         calls = self._count_softmax_calls(monkeypatch)
         run_layers(model, embed(model, np.arange(rows) + 1), pos, (1, 3), causal_mask(pos))
         assert len(calls) == per_layer * 3
+
+
+def _two_pass_softmax(scores, mask, out=None):
+    """masked_softmax_rows as one untiled pass over every column."""
+    neg = np.where(mask, scores, -np.inf)
+    expd = np.exp(neg - neg.max(axis=1, keepdims=True))
+    weights = expd / expd.sum(axis=1, keepdims=True)
+    if out is None:
+        return weights
+    out[...] = weights
+    return out
+
+
+def _full_width_attention(q, keys, values, mask):
+    """Per-head attention over every key: full score and AV products, untiled softmax."""
+    rows, heads, head_dim = q.shape
+    if mask is None:
+        mask = np.ones((rows, keys.shape[0]), dtype=bool)
+    ctx = np.empty(q.shape)
+    for head in range(heads):
+        scores = q[:, head, :] @ keys[:, head, :].T
+        scores *= 1.0 / np.sqrt(head_dim)
+        ctx[:, head, :] = _two_pass_softmax(scores, mask) @ values[:, head, :]
+    return ctx
+
+
+class TestTiledSoftmaxBits:
+    """The row-tiled, in-place softmax leaves every output bit as the untiled formula."""
+
+    ROWS = 448
+
+    def _outputs(self, model, hidden, pos, mask):
+        cache = model.new_cache()
+        out = [run_layers(model, hidden, pos, (1, model.config.num_layers), mask, cache)]
+        out += [decode_step(model, cache, 5 + step, self.ROWS + step) for step in range(3)]
+        for layer in range(model.config.num_layers):
+            out += [cache.keys(layer), cache.values(layer)]
+        return out
+
+    @pytest.mark.parametrize("reference", ["softmax", "attention"])
+    @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
+    def test_matches_untiled_reference(self, monkeypatch, reference, masking):
+        model = build_model(
+            small_config(hidden_dim=16, num_heads=2, num_layers=2, max_positions=460)
+        )
+        pos = np.arange(self.ROWS)
+        mask = causal_mask(pos)
+        if masking == "group_exclusive":
+            # interleaved visual groups, as a saliency split leaves them
+            visual = pos[8:420]
+            mask = group_exclusive_mask(pos, visual[::3], np.setdiff1d(visual, visual[::3]))
+        hidden = embed(model, synthesize_token_ids(model.config, self.ROWS))
+        tiled = self._outputs(model, hidden, pos, mask)
+        if reference == "softmax":
+            monkeypatch.setattr(parvts.model, "masked_softmax_rows", _two_pass_softmax)
+        else:
+            monkeypatch.setattr(parvts.model, "_attention", _full_width_attention)
+        untiled = self._outputs(model, hidden, pos, mask)
+        assert all(np.array_equal(a, b) for a, b in zip(tiled, untiled))
 
 
 class TestGreedyDecode:

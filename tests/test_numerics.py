@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parvts.errors import InvalidArgumentError, InvalidMaskError
 from parvts.numerics import (
     RMS_NORM_EPS,
+    SOFTMAX_TILE_ROWS,
+    SOFTMAX_UNTILED_ROWS,
     RngState,
     masked_softmax_rows,
     matmul,
@@ -95,16 +97,29 @@ class TestMaskedSoftmax:
 
     @settings(deadline=None, max_examples=100)
     @given(
-        st.integers(1, 6),
-        st.integers(1, 40),
+        st.integers(1, 330),
+        st.integers(1, 340),
+        st.sampled_from(["random", "causal", "causal_holes"]),
         st.floats(1e-3, 1e3),
         st.integers(0, 2**16 - 1),
     )
-    def test_equals_two_pass_formula_and_keeps_scores(self, rows, cols, spread, seed):
+    @example(200, 300, "causal_holes", 10.0, 0)
+    @example(330, 330, "causal", 10.0, 1)
+    @example(257, 120, "random", 10.0, 2)
+    def test_equals_two_pass_formula_and_keeps_scores(self, rows, cols, masking, spread, seed):
         gen = np.random.Generator(np.random.Philox(key=[seed, 1]))
         scores = gen.uniform(-spread, spread, size=(rows, cols))
-        mask = gen.random((rows, cols)) < 0.5
-        mask[np.arange(rows), gen.integers(0, cols, rows)] = True
+        # causal: row r sees the columns up to r + cols - rows, as the last
+        # rows of a longer sequence do
+        last = np.arange(rows) + cols - rows
+        if masking == "random":
+            mask = gen.random((rows, cols)) < 0.5
+            last = gen.integers(0, cols, rows)
+        else:
+            mask = np.arange(cols)[None, :] <= last[:, None]
+            if masking == "causal_holes":
+                mask &= gen.random((rows, cols)) < 0.7
+        mask[np.arange(rows), np.clip(last, 0, cols - 1)] = True
         before = scores.copy()
         # the formula with a second mask pass over the exponentials
         neg = np.where(mask, scores, -np.inf)
@@ -113,6 +128,25 @@ class TestMaskedSoftmax:
         out = masked_softmax_rows(scores, mask)
         assert np.array_equal(out, expected)
         assert np.array_equal(scores, before)
+        assert masked_softmax_rows(scores, mask, out=scores) is scores
+        assert np.array_equal(scores, expected)
+
+    def test_out_must_match_scores(self):
+        mask = np.ones((2, 3), dtype=bool)
+        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32), [[0.0] * 3] * 2):
+            with pytest.raises(InvalidArgumentError):
+                masked_softmax_rows(np.zeros((2, 3)), mask, out=out)
+
+    def test_degenerate_row_is_nan_up_to_its_tile_extent(self):
+        rows = SOFTMAX_UNTILED_ROWS + 1
+        mask = np.tril(np.ones((rows, rows), dtype=bool))
+        scores = np.zeros((rows, rows))
+        scores[3] = -np.inf
+        with np.errstate(invalid="ignore"):
+            out = masked_softmax_rows(scores, mask)
+        assert np.isnan(out[3, :SOFTMAX_TILE_ROWS]).all()
+        assert np.all(out[3, SOFTMAX_TILE_ROWS:] == 0.0)
+        np.testing.assert_allclose(np.delete(out, 3, axis=0).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestRmsNorm:

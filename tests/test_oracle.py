@@ -1,10 +1,19 @@
 import numpy as np
+import pytest
 
-from parvts.model import build_model, ModelConfig, SequenceLayout, embed
+from parvts.model import build_model, causal_mask, ModelConfig, SequenceLayout, embed
 from parvts.harness import synthesize_token_ids
-from parvts.oracle import oracle_two_pass, reference_prefill
+from parvts.numerics import SOFTMAX_UNTILED_ROWS
+from parvts.oracle import oracle_two_pass, reference_prefill, reference_run
 from parvts.saliency import partition_topk, toy_cls_attention
-from parvts.scheduler import ScheduleConfig, Strategy, run_vanilla
+from parvts.scheduler import (
+    ScheduleConfig,
+    Strategy,
+    group_exclusive_mask,
+    run_parvts_masked,
+    run_strategy,
+    run_vanilla,
+)
 
 
 def setup():
@@ -58,3 +67,69 @@ def test_reference_prefill_is_causal():
     extended = reference_prefill(model, np.concatenate([ids[:6], ids[6:8]]))
     # earlier rows are untouched by appended tokens
     assert np.max(np.abs(extended[:6] - base)) == 0.0
+
+
+# Staged references for the strategies oracle_two_pass does not mirror. The
+# layout has more rows than SOFTMAX_UNTILED_ROWS, so the masked phase and the
+# non-subject stage take the row-tiled softmax.
+STAGED_KEEP, STAGED_DEPTH = 16, 2
+
+
+def staged_setup():
+    model = build_model(
+        ModelConfig(
+            num_layers=4, hidden_dim=32, num_heads=2, mlp_dim=64,
+            vocab_size=97, max_positions=256, master_seed=3,
+        )
+    )
+    layout = SequenceLayout.from_counts(4, 200, 6)
+    assert layout.total_prefill > SOFTMAX_UNTILED_ROWS
+    ids = synthesize_token_ids(model.config, layout.total_prefill)
+    lo, hi = layout.visual_span
+    partition = partition_topk(toy_cls_attention(embed(model, ids[lo:hi]), 3), STAGED_KEEP)
+    return model, layout, ids, partition
+
+
+def test_masked_strategy_matches_staged_reference():
+    model, layout, ids, partition = staged_setup()
+    j, n, last = 1, STAGED_DEPTH, model.config.num_layers
+    cfg = ScheduleConfig(Strategy.PARVTS_MASKED, n, 0.5, 0.5, j)
+    pos = np.arange(ids.size)
+    sub_pos = layout.visual_span[0] + partition.subject_indices
+    non_pos = layout.visual_span[0] + partition.nonsubject_indices
+
+    hidden = reference_run(model, embed(model, ids), pos, causal_mask(pos), 1, j)
+    exclusive = group_exclusive_mask(pos, sub_pos, non_pos)
+    hidden = reference_run(model, hidden, pos, exclusive, j + 1, n)
+    keep = ~np.isin(pos, non_pos)
+    keep_pos = pos[keep]
+    expected = reference_run(model, hidden[keep], keep_pos, causal_mask(keep_pos), n + 1, last)
+
+    fast = run_parvts_masked(model, ids, layout, partition, cfg)
+    np.testing.assert_array_equal(fast.positions, keep_pos)
+    np.testing.assert_allclose(fast.hidden, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SUBJECT_FIRST, Strategy.NONSUBJECT_FIRST])
+def test_sequential_strategies_match_staged_reference(strategy):
+    model, layout, ids, partition = staged_setup()
+    n, last = STAGED_DEPTH, model.config.num_layers
+    cfg = ScheduleConfig(strategy, n)
+    sys_pos, q_pos = layout.system_positions(), layout.question_positions()
+    first = layout.visual_span[0] + partition.subject_indices
+    second = layout.visual_span[0] + partition.nonsubject_indices
+    if strategy is Strategy.NONSUBJECT_FIRST:
+        first, second = second, first
+
+    stage1 = np.concatenate([sys_pos, first, q_pos])
+    h1 = reference_run(model, embed(model, ids[stage1]), stage1, causal_mask(stage1), 1, n)
+    # ReplaceVision: the other group's embeddings take the visual slots
+    stage2 = np.concatenate([sys_pos, second, q_pos])
+    h2 = np.concatenate(
+        [h1[: sys_pos.size], embed(model, ids[second]), h1[sys_pos.size + first.size :]]
+    )
+    expected = reference_run(model, h2, stage2, causal_mask(stage2), n + 1, last)
+
+    fast = run_strategy(model, ids, layout, partition, cfg)
+    np.testing.assert_array_equal(fast.positions, stage2)
+    np.testing.assert_allclose(fast.hidden, expected, rtol=0, atol=1e-12)
