@@ -2,16 +2,20 @@
 
 Format: one `section.key = value` per line, '#' starts a comment, blank
 lines are ignored. Unknown keys are rejected; missing keys take the
-documented defaults below, and `--set` style overrides win over the file.
+defaults in SCHEMA, and `--set` style overrides win over the file.
 """
 
 from __future__ import annotations
 
+import enum
+import re
+import typing
+from collections import defaultdict
 from dataclasses import fields
 
 from .cost import CostParams
 from .errors import InvalidArgumentError
-from .harness import ExperimentConfig
+from .harness import RUN_KEYS, ExperimentConfig
 from .model import ModelConfig
 from .scheduler import ScheduleConfig, Strategy
 
@@ -20,52 +24,36 @@ class ConfigError(ValueError):
     """A configuration file or override failed validation."""
 
 
-_STRATEGY_NAMES = {s.value for s in Strategy}
+# cost.<CostParams field> -> default as text
+_COST_DEFAULTS = dict(
+    p="0.5", n="3", N="32", L_text="64", L_img="576", M="32", d="4096", m="11008"
+)
 
-# key -> (type tag, default as text)
-SCHEMA: dict[str, tuple[str, str]] = {
-    "model.layers": ("int", "4"),
-    "model.hidden_dim": ("int", "32"),
-    "model.heads": ("int", "4"),
-    "model.mlp_dim": ("int", "64"),
-    "model.vocab": ("int", "101"),
-    "model.seed": ("int", "0"),
-    "tokens.system": ("int", "4"),
-    "tokens.visual": ("int", "16"),
-    "tokens.question": ("int", "6"),
-    "schedule.strategy": ("strategy", "ParVTSBatch"),
-    "schedule.migration_depth": ("int", "2"),
-    "schedule.alpha": ("float", "0.5"),
-    "schedule.beta": ("float", "0.5"),
-    "schedule.joint_prefix": ("int", "1"),
-    "partition.keep_count": ("int", "8"),
-    "partition.saliency": ("str", "toy"),
-    "decode.steps": ("int", "4"),
-    "cost.p": ("float", "0.5"),
-    "cost.n": ("int", "3"),
-    "cost.N": ("int", "32"),
-    "cost.L_text": ("int", "64"),
-    "cost.L_img": ("int", "576"),
-    "cost.M": ("int", "32"),
-    "cost.d": ("int", "4096"),
-    "cost.m": ("int", "11008"),
+# key -> (value type, default as text): the `run` keys from harness.RUN_KEYS,
+# typed by their dataclass field, then one cost.* key per CostParams field.
+SCHEMA: dict[str, tuple[type, str]] = {
+    **{
+        key: (typing.get_type_hints(owner)[name], default)
+        for key, (owner, name, default) in RUN_KEYS.items()
+    },
+    **{
+        f"cost.{name}": (kind, _COST_DEFAULTS[name])
+        for name, kind in typing.get_type_hints(CostParams).items()
+    },
 }
+
+# The dataclasses validate in field names; a `run` error names the key instead.
+_FIELD_KEYS = {name: key for key, (_, name, _) in RUN_KEYS.items()}
+_FIELD_NAMES = re.compile(r"\b(" + "|".join(_FIELD_KEYS) + r")\b")
 
 
 def _parse_value(key: str, text: str):
     kind = SCHEMA[key][0]
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "strategy":
-            if text not in _STRATEGY_NAMES:
-                raise ValueError(f"one of {sorted(_STRATEGY_NAMES)}")
-            return Strategy(text)
-        return text
+        return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
+        reason = f"one of {sorted(m.value for m in kind)}" if issubclass(kind, enum.Enum) else exc
+        raise ConfigError(f"bad value for {key}: {text!r} ({reason})") from exc
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -122,43 +110,21 @@ def typed(resolved: dict[str, str]) -> dict:
 def experiment_config_from(resolved: dict[str, str]) -> ExperimentConfig:
     """Build the experiment from resolved raw values; errors name the bad key."""
     values = typed(resolved)
-    seq_len = (
-        values["tokens.system"] + values["tokens.visual"] + values["tokens.question"]
-    )
+    kwargs = defaultdict(dict)
+    for key, (owner, name, _) in RUN_KEYS.items():
+        kwargs[owner][name] = values[key]
+    run = kwargs[ExperimentConfig]
+    seq_len = run["num_system"] + run["num_visual"] + run["num_question"]
     try:
-        model = ModelConfig(
-            num_layers=values["model.layers"],
-            hidden_dim=values["model.hidden_dim"],
-            num_heads=values["model.heads"],
-            mlp_dim=values["model.mlp_dim"],
-            vocab_size=values["model.vocab"],
-            max_positions=seq_len + values["decode.steps"] + 1,
-            master_seed=values["model.seed"],
-        )
-        schedule = ScheduleConfig(
-            strategy=values["schedule.strategy"],
-            migration_depth=values["schedule.migration_depth"],
-            alpha=values["schedule.alpha"],
-            beta=values["schedule.beta"],
-            joint_prefix_layers=values["schedule.joint_prefix"],
-        )
+        model = ModelConfig(**kwargs[ModelConfig], max_positions=seq_len + run["decode_steps"] + 1)
+        schedule = ScheduleConfig(**kwargs[ScheduleConfig])
         schedule.validate(model.num_layers)
-        strategies = [values["schedule.strategy"]]
-        if Strategy.VANILLA not in strategies:
-            strategies.insert(0, Strategy.VANILLA)
-        return ExperimentConfig(
-            model=model,
-            num_system=values["tokens.system"],
-            num_visual=values["tokens.visual"],
-            num_question=values["tokens.question"],
-            saliency_source=values["partition.saliency"],
-            keep_count=values["partition.keep_count"],
-            schedule=schedule,
-            decode_steps=values["decode.steps"],
-            strategies=tuple(strategies),
-        )
+        # the vanilla baseline first, once
+        strategies = tuple(dict.fromkeys((Strategy.VANILLA, schedule.strategy)))
+        return ExperimentConfig(**run, model=model, schedule=schedule, strategies=strategies)
     except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
+        message = _FIELD_NAMES.sub(lambda m: _FIELD_KEYS[m[1]], str(exc))
+        raise ConfigError(message) from exc
 
 
 def cost_params_from(resolved: dict[str, str], **flag_overrides) -> CostParams:

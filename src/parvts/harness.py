@@ -10,7 +10,7 @@ pass/fail thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .cost import (
     speedup_decoding,
     speedup_prefill,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SaliencyFormatError
 from .model import ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits
 from .numerics import RngState, seeded_integers
 from .oracle import oracle_two_pass
@@ -56,42 +56,52 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.num_visual < 1:
-            raise InvalidArgumentError("tokens.visual must be >= 1")
+            raise InvalidArgumentError("num_visual must be >= 1")
         if self.num_question < 1:
-            raise InvalidArgumentError("tokens.question must be >= 1")
+            raise InvalidArgumentError("num_question must be >= 1")
         if self.num_system < 0:
-            raise InvalidArgumentError("tokens.system must be >= 0")
+            raise InvalidArgumentError("num_system must be >= 0")
         if not 0 <= self.keep_count <= self.num_visual:
             raise InvalidArgumentError(
-                f"keep_count {self.keep_count} outside [0, tokens.visual = {self.num_visual}]"
+                f"keep_count {self.keep_count} outside [0, num_visual = {self.num_visual}]"
             )
         if self.decode_steps < 0:
-            raise InvalidArgumentError("decode.steps must be >= 0")
+            raise InvalidArgumentError("decode_steps must be >= 0")
         if not self.strategies:
             raise InvalidArgumentError("at least one strategy is required")
 
     def echo(self) -> dict[str, str]:
         """Fully-resolved configuration as dotted key/value pairs."""
-        cfg, sched = self.model, self.schedule
-        return {
-            "model.layers": str(cfg.num_layers),
-            "model.hidden_dim": str(cfg.hidden_dim),
-            "model.heads": str(cfg.num_heads),
-            "model.mlp_dim": str(cfg.mlp_dim),
-            "model.vocab": str(cfg.vocab_size),
-            "model.seed": str(cfg.master_seed),
-            "tokens.system": str(self.num_system),
-            "tokens.visual": str(self.num_visual),
-            "tokens.question": str(self.num_question),
-            "schedule.strategy": sched.strategy.value,
-            "schedule.migration_depth": str(sched.migration_depth),
-            "schedule.alpha": repr(sched.alpha),
-            "schedule.beta": repr(sched.beta),
-            "schedule.joint_prefix": str(sched.joint_prefix_layers),
-            "partition.keep_count": str(self.keep_count),
-            "partition.saliency": self.saliency_source,
-            "decode.steps": str(self.decode_steps),
-        }
+        owners = {ModelConfig: self.model, ScheduleConfig: self.schedule, ExperimentConfig: self}
+        echoed = {}
+        for key, (owner, name, _) in RUN_KEYS.items():
+            value = getattr(owners[owner], name)
+            echoed[key] = value.value if isinstance(value, Strategy) else str(value)
+        return echoed
+
+
+# Every `run` config key: key -> (dataclass it sets, field name, default as
+# text). configfile derives the schema, the value types, the constructor
+# arguments and the key names in error messages from it; echo() its output.
+RUN_KEYS: dict[str, tuple[type, str, str]] = {
+    "model.layers": (ModelConfig, "num_layers", "4"),
+    "model.hidden_dim": (ModelConfig, "hidden_dim", "32"),
+    "model.heads": (ModelConfig, "num_heads", "4"),
+    "model.mlp_dim": (ModelConfig, "mlp_dim", "64"),
+    "model.vocab": (ModelConfig, "vocab_size", "101"),
+    "model.seed": (ModelConfig, "master_seed", "0"),
+    "tokens.system": (ExperimentConfig, "num_system", "4"),
+    "tokens.visual": (ExperimentConfig, "num_visual", "16"),
+    "tokens.question": (ExperimentConfig, "num_question", "6"),
+    "schedule.strategy": (ScheduleConfig, "strategy", "ParVTSBatch"),
+    "schedule.migration_depth": (ScheduleConfig, "migration_depth", "2"),
+    "schedule.alpha": (ScheduleConfig, "alpha", "0.5"),
+    "schedule.beta": (ScheduleConfig, "beta", "0.5"),
+    "schedule.joint_prefix": (ScheduleConfig, "joint_prefix_layers", "1"),
+    "partition.keep_count": (ExperimentConfig, "keep_count", "8"),
+    "partition.saliency": (ExperimentConfig, "saliency_source", "toy"),
+    "decode.steps": (ExperimentConfig, "decode_steps", "4"),
+}
 
 
 @dataclass
@@ -111,9 +121,7 @@ class StrategyReport:
     agreement_vs_vanilla: float
     max_divergence_vs_vanilla: float
     masked_batch_gap: float | None = None
-    frobenius_vs_vanilla: float = 0.0
     max_divergence_vs_oracle: float | None = None
-    phase_token_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -179,10 +187,14 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         visual_ids = ids[layout.visual_span[0] : layout.visual_span[1]]
         saliency = toy_cls_attention(embed(model, visual_ids), config.model.master_seed)
     else:
-        saliency = load_saliency(config.saliency_source)
+        try:
+            saliency = load_saliency(config.saliency_source)
+        except (OSError, SaliencyFormatError) as exc:
+            raise InvalidArgumentError(f"partition.saliency: {exc}") from exc
         if len(saliency) != config.num_visual:
             raise InvalidArgumentError(
-                f"saliency file has {len(saliency)} values for {config.num_visual} visual tokens"
+                f"partition.saliency has {len(saliency)} values for "
+                f"tokens.visual = {config.num_visual}"
             )
     partition = partition_topk(saliency, config.keep_count)
 
@@ -201,13 +213,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
     num_q = q_hi - q_lo
 
     def run_one(strategy: Strategy):
-        cfg = ScheduleConfig(
-            strategy=strategy,
-            migration_depth=config.schedule.migration_depth,
-            alpha=config.schedule.alpha,
-            beta=config.schedule.beta,
-            joint_prefix_layers=config.schedule.joint_prefix_layers,
-        )
+        cfg = replace(config.schedule, strategy=strategy)
         result = run_strategy(model, ids, layout, partition, cfg)
         start_token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
         decoded = greedy_decode(model, result.cache, start_token, config.decode_steps)
@@ -228,7 +234,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         results[strategy] = result
 
         question = result.hidden[-num_q:]
-        max_abs, frob = compare_states(question, vanilla_question)
+        max_abs, _ = compare_states(question, vanilla_question)
         agreement = (
             float(np.mean(np.array(decoded) == np.array(baseline_decoded)))
             if decoded
@@ -257,9 +263,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
                 decoded_ids=list(decoded),
                 agreement_vs_vanilla=agreement,
                 max_divergence_vs_vanilla=max_abs,
-                frobenius_vs_vanilla=frob,
                 max_divergence_vs_oracle=oracle_div,
-                phase_token_counts=dict(result.phase_token_counts),
             )
         )
 

@@ -34,10 +34,9 @@ class ModelConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise InvalidArgumentError("num_layers must be >= 1")
-        if min(self.hidden_dim, self.num_heads, self.mlp_dim, self.max_positions) < 1:
-            raise InvalidArgumentError("all dimensions must be >= 1")
+        for name in ("num_layers", "hidden_dim", "num_heads", "mlp_dim", "max_positions"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1")
         if self.vocab_size < 2:
             raise InvalidArgumentError("vocab_size must be >= 2")
         if self.hidden_dim % self.num_heads != 0:
@@ -45,7 +44,10 @@ class ModelConfig:
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
         if (self.hidden_dim // self.num_heads) % 2 != 0:
-            raise InvalidArgumentError("head dimension must be even for rotary encoding")
+            raise InvalidArgumentError(
+                f"hidden_dim {self.hidden_dim} / num_heads {self.num_heads} "
+                "must be even for rotary encoding"
+            )
 
     @property
     def head_dim(self) -> int:

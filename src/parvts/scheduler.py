@@ -50,7 +50,7 @@ class Strategy(str, enum.Enum):
 
 def _check_fusion_weights(alpha: float, beta: float):
     if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-12:
-        raise InvalidArgumentError("fusion weights must be >= 0 and sum to 1")
+        raise InvalidArgumentError(f"alpha {alpha} and beta {beta} must be >= 0 and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ScheduleConfig:
             )
         if not 0 <= j <= n:
             raise InvalidArgumentError(
-                f"joint_prefix {j} outside [0, migration_depth {n}]"
+                f"joint_prefix_layers {j} outside [0, migration_depth {n}]"
             )
         _check_fusion_weights(self.alpha, self.beta)
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,16 @@ import pytest
 
 from parvts.cli import main
 from parvts.configfile import (
+    SCHEMA,
     ConfigError,
     experiment_config_from,
     parse_config_text,
     resolve,
 )
-from parvts.scheduler import Strategy
+from parvts.cost import CostParams
+from parvts.harness import RUN_KEYS, ExperimentConfig
+from parvts.model import ModelConfig
+from parvts.scheduler import ScheduleConfig, Strategy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,6 +69,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="model.layers"):
             experiment_config_from(resolve(None, ["model.layers=three"]))
 
+    def test_every_field_has_exactly_one_run_key(self):
+        derived = {"max_positions", "strategies", "model", "schedule"}
+        for owner in (ModelConfig, ScheduleConfig, ExperimentConfig):
+            keyed = [name for o, name, _ in RUN_KEYS.values() if o is owner]
+            assert sorted(keyed) == sorted({f.name for f in fields(owner)} - derived)
+
+    def test_schema_is_run_keys_plus_cost_fields(self):
+        cost_keys = {f"cost.{f.name}" for f in fields(CostParams)}
+        assert set(SCHEMA) == set(RUN_KEYS) | cost_keys
+        assert len(SCHEMA) == len(RUN_KEYS) + len(cost_keys)
+
 
 class TestCmdRun:
     def test_minimal_config_writes_report(self, tmp_path, capsys):
@@ -99,6 +115,47 @@ class TestCmdRun:
         text = out.read_text()
         assert "schedule.alpha = 0" in text
         assert "schedule.beta = 1" in text
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("model.layers=0", "model.layers must be >= 1"),
+            ("model.vocab=1", "model.vocab must be >= 2"),
+            ("model.mlp_dim=0", "model.mlp_dim must be >= 1"),
+            ("model.heads=0", "model.heads must be >= 1"),
+            ("model.heads=3", "model.hidden_dim 32 not divisible by model.heads 3"),
+            ("model.hidden_dim=12",
+             "model.hidden_dim 12 / model.heads 4 must be even for rotary encoding"),
+            ("schedule.migration_depth=9", "schedule.migration_depth 9 outside [1, 4]"),
+            ("schedule.joint_prefix=5",
+             "schedule.joint_prefix 5 outside [0, schedule.migration_depth 2]"),
+            ("schedule.alpha=0.7",
+             "schedule.alpha 0.7 and schedule.beta 0.5 must be >= 0 and sum to 1"),
+            ("partition.keep_count=99", "partition.keep_count 99 outside [0, tokens.visual = 16]"),
+            ("tokens.visual=0", "tokens.visual must be >= 1"),
+            ("decode.steps=-1", "decode.steps must be >= 0"),
+            ("partition.saliency=/nonexistent",
+             "partition.saliency: [Errno 2] No such file or directory: '/nonexistent'"),
+        ],
+    )
+    def test_bad_value_error_names_key(self, tmp_path, capsys, override, message):
+        code = main(["run", "--set", override, "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("0.5\nabc\n", "partition.saliency: line 2: not a decimal float: 'abc'"),
+            ("0.5\n0.25\n0.75\n", "partition.saliency has 3 values for tokens.visual = 16"),
+        ],
+    )
+    def test_bad_saliency_file_names_key(self, tmp_path, capsys, content, message):
+        saliency = tmp_path / "saliency.txt"
+        saliency.write_text(content)
+        argv = ["run", "--set", f"partition.saliency={saliency}", "--out", str(tmp_path / "r.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_defaults_only_run(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
