@@ -17,7 +17,7 @@ from parvts import (
     embed,
     partition_topk,
     prune_cache,
-    run_parvts_batch,
+    run_strategy,
     run_vanilla,
     toy_cls_attention,
 )
@@ -49,7 +49,7 @@ print(f"\nnext-token logits over the pruned cache: argmax = {int(np.argmax(logit
 lo, hi = layout.visual_span
 saliency = toy_cls_attention(embed(model, ids[lo:hi]), model.config.master_seed)
 partition = partition_topk(saliency, keep_count=3)
-result = run_parvts_batch(
+result = run_strategy(
     model, ids, layout, partition,
     ScheduleConfig(Strategy.PARVTS_BATCH, migration_depth=2),
 )

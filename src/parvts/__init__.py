@@ -27,7 +27,6 @@ from .harness import (
     compare_states,
     run_experiment,
     serialize_report,
-    sweep_cost,
 )
 from .model import (
     KVCache,
@@ -64,11 +63,7 @@ from .scheduler import (
     Strategy,
     fuse_question_states,
     prune_cache,
-    run_nonsubject_first,
-    run_parvts_batch,
-    run_parvts_masked,
     run_strategy,
-    run_subject_first,
     run_vanilla,
 )
 

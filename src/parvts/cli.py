@@ -19,9 +19,9 @@ from .configfile import (
     experiment_config_from,
     load_config,
 )
-from .cost import CostParams, cost_report, migration_depth_for
+from .cost import CSV_COLUMNS, CostParams, cost_report, csv_row, migration_depth_for
 from .errors import InvalidArgumentError, InvalidMaskError, SaliencyFormatError
-from .harness import SWEEP_HEADER, run_experiment, serialize_report, sweep_cost
+from .harness import run_experiment, serialize_report
 from .verify import render_results, run_checks
 
 # cost input name -> type, in CostParams field order
@@ -139,9 +139,9 @@ def _cmd_sweep(args) -> int:
         replace(base, **dict(zip(names, combo)))
         for combo in itertools.product(*(values for _, values in axes))
     ]
-    rows = sweep_cost(points)
+    rows = [csv_row(point) for point in points]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_HEADER + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

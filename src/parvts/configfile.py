@@ -114,10 +114,14 @@ def experiment_config_from(resolved: dict[str, str]) -> ExperimentConfig:
     for key, (owner, name, _) in RUN_KEYS.items():
         kwargs[owner][name] = values[key]
     run = kwargs[ExperimentConfig]
-    seq_len = run["num_system"] + run["num_visual"] + run["num_question"]
     try:
+        # the counts first, since max_positions is derived from them
+        ExperimentConfig.check_counts(run)
+        seq_len = run["num_system"] + run["num_visual"] + run["num_question"]
         model = ModelConfig(**kwargs[ModelConfig], max_positions=seq_len + run["decode_steps"] + 1)
         schedule = ScheduleConfig(**kwargs[ScheduleConfig])
+        # the cost fields need n in [1, N] whatever the strategy
+        schedule.check_depth(model.num_layers)
         schedule.validate(model.num_layers)
         # the vanilla baseline first, once
         strategies = tuple(dict.fromkeys((Strategy.VANILLA, schedule.strategy)))

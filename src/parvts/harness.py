@@ -16,8 +16,6 @@ import numpy as np
 
 from .cost import (
     CostParams,
-    CSV_COLUMNS,
-    csv_row,
     decoding_flops_parvts,
     decoding_flops_sequential,
     decoding_flops_vanilla,
@@ -39,9 +37,6 @@ SCHEMA_VERSION = 1
 # Token synthesis draws from a counter region far above the weight draws.
 _TOKEN_STREAM_COUNTER = 2**32
 
-SWEEP_HEADER = ",".join(CSV_COLUMNS)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelConfig
@@ -55,20 +50,26 @@ class ExperimentConfig:
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self):
-        if self.num_visual < 1:
-            raise InvalidArgumentError("num_visual must be >= 1")
-        if self.num_question < 1:
-            raise InvalidArgumentError("num_question must be >= 1")
-        if self.num_system < 0:
-            raise InvalidArgumentError("num_system must be >= 0")
-        if not 0 <= self.keep_count <= self.num_visual:
-            raise InvalidArgumentError(
-                f"keep_count {self.keep_count} outside [0, num_visual = {self.num_visual}]"
-            )
-        if self.decode_steps < 0:
-            raise InvalidArgumentError("decode_steps must be >= 0")
+        self.check_counts(vars(self))
         if not self.strategies:
             raise InvalidArgumentError("at least one strategy is required")
+
+    @staticmethod
+    def check_counts(counts: dict):
+        """The token and decode-step count rules, over a mapping of field values."""
+        if counts["num_visual"] < 1:
+            raise InvalidArgumentError("num_visual must be >= 1")
+        if counts["num_question"] < 1:
+            raise InvalidArgumentError("num_question must be >= 1")
+        if counts["num_system"] < 0:
+            raise InvalidArgumentError("num_system must be >= 0")
+        if not 0 <= counts["keep_count"] <= counts["num_visual"]:
+            raise InvalidArgumentError(
+                f"keep_count {counts['keep_count']} outside "
+                f"[0, num_visual = {counts['num_visual']}]"
+            )
+        if counts["decode_steps"] < 0:
+            raise InvalidArgumentError("decode_steps must be >= 0")
 
     def echo(self) -> dict[str, str]:
         """Fully-resolved configuration as dotted key/value pairs."""
@@ -319,11 +320,3 @@ def serialize_report(report: RunReport) -> str:
         lines.append(f"  masked_batch_gap = {_fmt(block.masked_batch_gap)}")
         lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_cost(grid) -> list[str]:
-    """CSV rows (no header) for every CostParams point in the grid."""
-    rows = [csv_row(point) for point in grid]
-    if not rows:
-        raise InvalidArgumentError("sweep grid is empty")
-    return rows

@@ -19,6 +19,10 @@ Five prefill schedules over the same toy decoder:
 All the non-vanilla schedules end with a cache that contains no entry at a
 pruned position for the ParVTS modes; rows keep their original positions
 throughout so attention geometry is identical across formulations.
+
+`run_strategy` is the one entry for a scheduled prefill: it validates the
+config and the inputs once and runs the schedule the config names.
+`run_vanilla` builds the full-cache baseline from the token ids alone.
 """
 
 from __future__ import annotations
@@ -61,14 +65,18 @@ class ScheduleConfig:
     beta: float = 0.5
     joint_prefix_layers: int = 1
 
+    def check_depth(self, num_layers: int):
+        """n in [1, N]; the cost model needs it of Vanilla runs too."""
+        if not 1 <= self.migration_depth <= num_layers:
+            raise InvalidArgumentError(
+                f"migration_depth {self.migration_depth} outside [1, {num_layers}]"
+            )
+
     def validate(self, num_layers: int):
         if self.strategy is Strategy.VANILLA:
             return
+        self.check_depth(num_layers)
         n, j = self.migration_depth, self.joint_prefix_layers
-        if not 1 <= n <= num_layers:
-            raise InvalidArgumentError(
-                f"migration_depth {n} outside [1, {num_layers}]"
-            )
         if not 0 <= j <= n:
             raise InvalidArgumentError(
                 f"joint_prefix_layers {j} outside [0, migration_depth {n}]"
@@ -130,7 +138,7 @@ def prune_cache(cache: KVCache, drop_positions) -> KVCache:
     return cache.drop_positions(drop)
 
 
-def _check_inputs(model, token_ids, layout, partition=None):
+def _check_inputs(token_ids, layout, partition=None):
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size != layout.total_prefill:
         raise InvalidArgumentError(
@@ -139,13 +147,6 @@ def _check_inputs(model, token_ids, layout, partition=None):
     if partition is not None and partition.num_visual != layout.num_visual:
         raise InvalidArgumentError("partition size does not match the visual span")
     return ids
-
-
-def _check_strategy(cfg: ScheduleConfig, expected: Strategy):
-    if cfg.strategy is not expected:
-        raise InvalidArgumentError(
-            f"config names strategy {cfg.strategy.value}, runner expects {expected.value}"
-        )
 
 
 def _collapsed(partition: Partition):
@@ -191,7 +192,7 @@ def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
 
 def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResult:
     """Full causal prefill through every layer with a full cache."""
-    ids = _check_inputs(model, token_ids, layout)
+    ids = _check_inputs(token_ids, layout)
     positions = np.arange(ids.size, dtype=np.int64)
     cache = model.new_cache()
     counts: dict[str, int] = {}
@@ -201,9 +202,9 @@ def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResul
     return PrefillResult(hidden, cache, positions, counts, diagnostics={})
 
 
-def run_parvts_batch(
+def _run_parvts_batch(
     model: Model,
-    token_ids,
+    ids: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
@@ -214,9 +215,6 @@ def run_parvts_batch(
     the joint prefix is empty). An empty visual group collapses the run to a
     single branch, reported in diagnostics rather than raised.
     """
-    _check_strategy(cfg, Strategy.PARVTS_BATCH)
-    cfg.validate(model.config.num_layers)
-    ids = _check_inputs(model, token_ids, layout, partition)
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
     sub_pos = subject_positions(layout, partition)
@@ -269,9 +267,9 @@ def run_parvts_batch(
     return PrefillResult(hidden_out, cache, keep_pos, counts, diagnostics)
 
 
-def run_parvts_masked(
+def _run_parvts_masked(
     model: Model,
-    token_ids,
+    ids: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
@@ -282,9 +280,6 @@ def run_parvts_masked(
     no fusion step exists; the two groups never see each other there, and at
     the migration layer the non-subject rows and their cache entries vanish.
     """
-    _check_strategy(cfg, Strategy.PARVTS_MASKED)
-    cfg.validate(model.config.num_layers)
-    ids = _check_inputs(model, token_ids, layout, partition)
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
     sub_pos = subject_positions(layout, partition)
@@ -312,19 +307,18 @@ def run_parvts_masked(
 
 def _run_sequential(
     model: Model,
-    token_ids,
+    ids: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
-    strategy: Strategy,
 ) -> PrefillResult:
-    """One visual group through layers 1..n, then the other through n+1..N."""
-    _check_strategy(cfg, strategy)
-    cfg.validate(model.config.num_layers)
-    ids = _check_inputs(model, token_ids, layout, partition)
+    """One visual group through layers 1..n, then the other through n+1..N.
+
+    SubjectFirst starts with the subject group, NonSubjectFirst with the other.
+    """
     groups = (subject_positions(layout, partition), nonsubject_positions(layout, partition))
     names = ("subject_stage", "nonsubject_stage")
-    if strategy is Strategy.NONSUBJECT_FIRST:
+    if cfg.strategy is Strategy.NONSUBJECT_FIRST:
         groups, names = groups[::-1], names[::-1]
     first_group_pos, second_group_pos = groups
     sys_pos = layout.system_positions()
@@ -357,33 +351,11 @@ def _run_sequential(
     return PrefillResult(hidden, cache, stage2_pos, counts, diagnostics)
 
 
-def run_subject_first(
-    model: Model,
-    token_ids,
-    layout: SequenceLayout,
-    partition: Partition,
-    cfg: ScheduleConfig,
-) -> PrefillResult:
-    """Subject tokens through the early layers, non-subject embeddings after."""
-    return _run_sequential(model, token_ids, layout, partition, cfg, Strategy.SUBJECT_FIRST)
-
-
-def run_nonsubject_first(
-    model: Model,
-    token_ids,
-    layout: SequenceLayout,
-    partition: Partition,
-    cfg: ScheduleConfig,
-) -> PrefillResult:
-    """Mirror of SubjectFirst with the two visual groups exchanged."""
-    return _run_sequential(model, token_ids, layout, partition, cfg, Strategy.NONSUBJECT_FIRST)
-
-
 _RUNNERS = {
-    Strategy.PARVTS_BATCH: run_parvts_batch,
-    Strategy.PARVTS_MASKED: run_parvts_masked,
-    Strategy.SUBJECT_FIRST: run_subject_first,
-    Strategy.NONSUBJECT_FIRST: run_nonsubject_first,
+    Strategy.PARVTS_BATCH: _run_parvts_batch,
+    Strategy.PARVTS_MASKED: _run_parvts_masked,
+    Strategy.SUBJECT_FIRST: _run_sequential,
+    Strategy.NONSUBJECT_FIRST: _run_sequential,
 }
 
 
@@ -394,7 +366,9 @@ def run_strategy(
     partition: Partition,
     cfg: ScheduleConfig,
 ) -> PrefillResult:
-    """Dispatch to the runner named by cfg.strategy."""
+    """Validate cfg and the inputs once, then run the schedule cfg.strategy names."""
     if cfg.strategy is Strategy.VANILLA:
         return run_vanilla(model, token_ids, layout)
-    return _RUNNERS[cfg.strategy](model, token_ids, layout, partition, cfg)
+    cfg.validate(model.config.num_layers)
+    ids = _check_inputs(token_ids, layout, partition)
+    return _RUNNERS[cfg.strategy](model, ids, layout, partition, cfg)

@@ -34,15 +34,7 @@ from .harness import (
 from .model import ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits
 from .oracle import oracle_two_pass
 from .saliency import partition_topk, toy_cls_attention
-from .scheduler import (
-    ScheduleConfig,
-    Strategy,
-    run_nonsubject_first,
-    run_parvts_batch,
-    run_parvts_masked,
-    run_subject_first,
-    run_vanilla,
-)
+from .scheduler import ScheduleConfig, Strategy, run_strategy, run_vanilla
 
 ORACLE_TOLERANCE = 1e-6
 SYSTEM_IDENTITY_TOLERANCE = 1e-12
@@ -122,10 +114,10 @@ class SweepRun:
             beta=1.0 - case.alpha,
             joint_prefix_layers=1,
         )
-        self.batch = run_parvts_batch(
+        self.batch = run_strategy(
             self.model, self.ids, self.layout, self.partition, self.cfg
         )
-        self.masked = run_parvts_masked(
+        self.masked = run_strategy(
             self.model, self.ids, self.layout, self.partition,
             replace(self.cfg, strategy=Strategy.PARVTS_MASKED),
         )
@@ -228,38 +220,17 @@ def check_reduction_chain(_: _Context) -> CheckResult:
     all_kept = partition_topk(saliency, layout.num_visual)
     none_kept = partition_topk(saliency, 0)
 
-    cases = [
-        (
-            "ParVTSBatch(n=N, k=|V|, a=0, b=1)",
-            run_parvts_batch(
-                model, ids, layout, all_kept,
-                ScheduleConfig(Strategy.PARVTS_BATCH, num_layers, 0.0, 1.0, 1),
-            ),
-        ),
-        (
-            "ParVTSMasked(n=j, k=|V|)",
-            run_parvts_masked(
-                model, ids, layout, all_kept,
-                ScheduleConfig(Strategy.PARVTS_MASKED, 1, 0.5, 0.5, 1),
-            ),
-        ),
-        (
-            "SubjectFirst(V_non empty, n=N)",
-            run_subject_first(
-                model, ids, layout, all_kept,
-                ScheduleConfig(Strategy.SUBJECT_FIRST, num_layers, 0.5, 0.5, 1),
-            ),
-        ),
-        (
-            "NonSubjectFirst(V_sub empty, n=N)",
-            run_nonsubject_first(
-                model, ids, layout, none_kept,
-                ScheduleConfig(Strategy.NONSUBJECT_FIRST, num_layers, 0.5, 0.5, 1),
-            ),
-        ),
-    ]
+    # (strategy, partition, n, alpha) of each schedule that reduces to vanilla
+    cases = (
+        (Strategy.PARVTS_BATCH, all_kept, num_layers, 0.0),
+        (Strategy.PARVTS_MASKED, all_kept, 1, 0.5),
+        (Strategy.SUBJECT_FIRST, all_kept, num_layers, 0.5),
+        (Strategy.NONSUBJECT_FIRST, none_kept, num_layers, 0.5),
+    )
     worst = 0.0
-    for _, result in cases:
+    for strategy, partition, n, alpha in cases:
+        cfg = ScheduleConfig(strategy, n, alpha, 1.0 - alpha, 1)
+        result = run_strategy(model, ids, layout, partition, cfg)
         aligned = vanilla.hidden[result.positions]
         max_abs, _ = compare_states(result.hidden, aligned)
         worst = max(worst, max_abs)
@@ -276,13 +247,10 @@ def check_kv_cache_pruning(_: _Context) -> CheckResult:
     for keep in (0, 4, layout.num_visual):
         partition = partition_topk(saliency, keep)
         nonsubject = layout.visual_span[0] + partition.nonsubject_indices
-        for strategy, runner in (
-            (Strategy.PARVTS_BATCH, run_parvts_batch),
-            (Strategy.PARVTS_MASKED, run_parvts_masked),
-        ):
+        for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             name = strategy.value
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
-            result = runner(model, ids, layout, partition, cfg)
+            result = run_strategy(model, ids, layout, partition, cfg)
             start = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
             greedy_decode(model, result.cache, start, decode_steps)
             expected = 3 + keep + 5 + decode_steps

@@ -20,15 +20,7 @@ from parvts.cost import (
 )
 from parvts.harness import compare_states, run_experiment, serialize_report
 from parvts.model import greedy_decode, output_logits
-from parvts.scheduler import (
-    ScheduleConfig,
-    Strategy,
-    run_nonsubject_first,
-    run_parvts_batch,
-    run_parvts_masked,
-    run_subject_first,
-    run_vanilla,
-)
+from parvts.scheduler import ScheduleConfig, Strategy, run_strategy, run_vanilla
 from parvts.saliency import partition_topk
 from parvts.verify import (
     SweepRun,
@@ -102,19 +94,19 @@ def test_criterion_04_reduction_chain():
     all_kept = partition_topk(saliency, layout.num_visual)
     none_kept = partition_topk(saliency, 0)
     reductions = [
-        run_parvts_batch(
+        run_strategy(
             model, ids, layout, all_kept,
             ScheduleConfig(Strategy.PARVTS_BATCH, num_layers, 0.0, 1.0, 1),
         ),
-        run_parvts_masked(
+        run_strategy(
             model, ids, layout, all_kept,
             ScheduleConfig(Strategy.PARVTS_MASKED, 1, 0.5, 0.5, 1),
         ),
-        run_subject_first(
+        run_strategy(
             model, ids, layout, all_kept,
             ScheduleConfig(Strategy.SUBJECT_FIRST, num_layers, 0.5, 0.5, 1),
         ),
-        run_nonsubject_first(
+        run_strategy(
             model, ids, layout, none_kept,
             ScheduleConfig(Strategy.NONSUBJECT_FIRST, num_layers, 0.5, 0.5, 1),
         ),
@@ -136,12 +128,9 @@ def test_criterion_05_kv_cache_claim():
         nonsubject = set(
             int(p) for p in layout.visual_span[0] + partition.nonsubject_indices
         )
-        for strategy, runner in (
-            (Strategy.PARVTS_BATCH, run_parvts_batch),
-            (Strategy.PARVTS_MASKED, run_parvts_masked),
-        ):
+        for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
-            result = runner(model, ids, layout, partition, cfg)
+            result = run_strategy(model, ids, layout, partition, cfg)
             start = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
             greedy_decode(model, result.cache, start, decode_steps)
             expected = num_system + keep + num_question + decode_steps

@@ -117,7 +117,7 @@ class TestCmdRun:
         assert "schedule.beta = 1" in text
 
     @pytest.mark.parametrize(
-        "override, message",
+        "overrides, message",
         [
             ("model.layers=0", "model.layers must be >= 1"),
             ("model.vocab=1", "model.vocab must be >= 2"),
@@ -127,6 +127,10 @@ class TestCmdRun:
             ("model.hidden_dim=12",
              "model.hidden_dim 12 / model.heads 4 must be even for rotary encoding"),
             ("schedule.migration_depth=9", "schedule.migration_depth 9 outside [1, 4]"),
+            ("schedule.strategy=Vanilla schedule.migration_depth=9",
+             "schedule.migration_depth 9 outside [1, 4]"),
+            ("schedule.strategy=Vanilla schedule.migration_depth=0",
+             "schedule.migration_depth 0 outside [1, 4]"),
             ("schedule.joint_prefix=5",
              "schedule.joint_prefix 5 outside [0, schedule.migration_depth 2]"),
             ("schedule.alpha=0.7",
@@ -134,12 +138,16 @@ class TestCmdRun:
             ("partition.keep_count=99", "partition.keep_count 99 outside [0, tokens.visual = 16]"),
             ("tokens.visual=0", "tokens.visual must be >= 1"),
             ("decode.steps=-1", "decode.steps must be >= 0"),
+            ("decode.steps=-30", "decode.steps must be >= 0"),
+            ("tokens.system=-100", "tokens.system must be >= 0"),
+            ("tokens.question=-50", "tokens.question must be >= 1"),
             ("partition.saliency=/nonexistent",
              "partition.saliency: [Errno 2] No such file or directory: '/nonexistent'"),
         ],
     )
-    def test_bad_value_error_names_key(self, tmp_path, capsys, override, message):
-        code = main(["run", "--set", override, "--out", str(tmp_path / "r.txt")])
+    def test_bad_value_error_names_key(self, tmp_path, capsys, overrides, message):
+        sets = [arg for item in overrides.split() for arg in ("--set", item)]
+        code = main(["run", *sets, "--out", str(tmp_path / "r.txt")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

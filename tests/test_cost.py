@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from parvts.cost import (
+    STEPWISE_SUM_LIMIT,
     CostParams,
     CSV_COLUMNS,
     cost_report,
@@ -73,7 +76,10 @@ class TestDecodingVanilla:
                 d=int(gen.integers(1, 512)),
                 m=int(gen.integers(1, 2048)),
             )
-            assert decoding_flops_vanilla(p, "stepwise") == decoding_flops_vanilla(p, "closed")
+            # the drawn M sums step by step; past STEPWISE_SUM_LIMIT stepwise is a series
+            large = (STEPWISE_SUM_LIMIT, STEPWISE_SUM_LIMIT + 1, 200_000)
+            for q in (p, *(replace(p, M=M) for M in large)):
+                assert decoding_flops_vanilla(q, "stepwise") == decoding_flops_vanilla(q, "closed")
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidArgumentError):
@@ -219,3 +225,30 @@ class TestCsv:
         report = cost_report(p)
         assert float(row[8]) == report.prefill_flops_vanilla
         assert float(row[-1]) == report.rho_decoding
+
+
+class TestSweepCost:
+    def base(self, **overrides):
+        fields = dict(p=0.0, n=1, N=4, L_text=8, L_img=16, M=4, d=8, m=16)
+        fields.update(overrides)
+        return CostParams(**fields)
+
+    def test_zero_pruning_grid_all_ratios_one(self):
+        rows = [csv_row(point) for point in (self.base(), self.base(n=3))]
+        for row in rows:
+            cells = row.split(",")
+            assert float(cells[-2]) == 1.0  # rho_prefill
+            assert float(cells[-1]) == 1.0  # rho_decoding
+
+    def test_depth_sweep_keeps_decoding_constant(self):
+        rows = [csv_row(self.base(p=0.5, n=n)) for n in range(1, 5)]
+        decoding = {row.split(",")[-1] for row in rows}
+        assert len(decoding) == 1
+
+    def test_output_sweep_strictly_decreasing(self):
+        rows = [csv_row(self.base(p=0.5, M=m)) for m in range(1, 9)]
+        values = [float(row.split(",")[-1]) for row in rows]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_header_matches_row_width(self):
+        assert len(csv_row(self.base()).split(",")) == len(CSV_COLUMNS)

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from parvts.cost import CostParams
 from parvts.errors import InvalidArgumentError
 from parvts.harness import (
     ExperimentConfig,
-    SWEEP_HEADER,
     compare_states,
     run_experiment,
     serialize_report,
-    sweep_cost,
 )
 from parvts.model import ModelConfig
 from parvts.numerics import RngState, seeded_uniform
@@ -171,35 +168,3 @@ class TestSerialization:
         report = run_experiment(config)
         for key in ("model.layers", "tokens.visual", "schedule.strategy", "decode.steps"):
             assert key in report.config_echo
-
-
-class TestSweepCost:
-    def base(self, **overrides):
-        fields = dict(p=0.0, n=1, N=4, L_text=8, L_img=16, M=4, d=8, m=16)
-        fields.update(overrides)
-        return CostParams(**fields)
-
-    def test_zero_pruning_grid_all_ratios_one(self):
-        rows = sweep_cost([self.base(), self.base(n=3)])
-        for row in rows:
-            cells = row.split(",")
-            assert float(cells[-2]) == 1.0  # rho_prefill
-            assert float(cells[-1]) == 1.0  # rho_decoding
-
-    def test_depth_sweep_keeps_decoding_constant(self):
-        rows = sweep_cost([self.base(p=0.5, n=n) for n in range(1, 5)])
-        decoding = {row.split(",")[-1] for row in rows}
-        assert len(decoding) == 1
-
-    def test_output_sweep_strictly_decreasing(self):
-        rows = sweep_cost([self.base(p=0.5, M=m) for m in range(1, 9)])
-        values = [float(row.split(",")[-1]) for row in rows]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            sweep_cost([])
-
-    def test_header_matches_row_width(self):
-        rows = sweep_cost([self.base()])
-        assert len(rows[0].split(",")) == len(SWEEP_HEADER.split(","))

@@ -14,7 +14,6 @@ from parvts.scheduler import (
     ScheduleConfig,
     Strategy,
     group_exclusive_mask,
-    run_parvts_masked,
     run_strategy,
     run_vanilla,
 )
@@ -53,14 +52,12 @@ def test_pure_function_repeatability():
 
 
 def test_degenerate_partitions_collapse_like_scheduler():
-    from parvts.scheduler import run_parvts_batch
-
     model, layout, ids, saliency = setup()
     for keep in (0, layout.num_visual):
         partition = partition_topk(saliency, keep)
         cfg = ScheduleConfig(Strategy.PARVTS_BATCH, 3, 0.5, 0.5, 1)
         reference = oracle_two_pass(model, ids, layout, partition, cfg)
-        fast = run_parvts_batch(model, ids, layout, partition, cfg)
+        fast = run_strategy(model, ids, layout, partition, cfg)
         np.testing.assert_array_equal(reference.positions, fast.positions)
         assert np.max(np.abs(reference.hidden - fast.hidden)) <= 1e-6
 
@@ -131,7 +128,7 @@ def test_masked_strategy_matches_staged_reference():
     model, layout, ids, partition = staged_setup()
     cfg = ScheduleConfig(Strategy.PARVTS_MASKED, STAGED_DEPTH, 0.5, 0.5, 1)
     keep_pos, expected = staged_masked(model, ids, layout, partition, STAGED_DEPTH, 1)
-    fast = run_parvts_masked(model, ids, layout, partition, cfg)
+    fast = run_strategy(model, ids, layout, partition, cfg)
     np.testing.assert_array_equal(fast.positions, keep_pos)
     np.testing.assert_allclose(fast.hidden, expected, rtol=0, atol=1e-12)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,7 @@ from parvts.scheduler import (
     group_exclusive_mask,
     nonsubject_positions,
     prune_cache,
-    run_nonsubject_first,
-    run_parvts_batch,
-    run_parvts_masked,
     run_strategy,
-    run_subject_first,
     run_vanilla,
     subject_positions,
 )
@@ -95,7 +93,7 @@ class TestParvtsBatch:
     def test_beta_one_fuses_to_subject_branch_exactly(self):
         model, layout, ids, partition = make_setup()
         n, j = 3, 1
-        result = run_parvts_batch(model, ids, layout, partition, batch_cfg(n, 0.0, 1.0, j))
+        result = run_strategy(model, ids, layout, partition, batch_cfg(n, 0.0, 1.0, j))
 
         # independent replay of the subject branch
         full_pos = np.arange(layout.total_prefill)
@@ -119,34 +117,34 @@ class TestParvtsBatch:
             subject_indices=np.arange(layout.num_visual),
             nonsubject_indices=np.arange(0),
         )
-        result = run_parvts_batch(model, ids, layout, all_kept, batch_cfg(4, 0.0, 1.0))
+        result = run_strategy(model, ids, layout, all_kept, batch_cfg(4, 0.0, 1.0))
         vanilla = run_vanilla(model, ids, layout)
         assert np.max(np.abs(result.hidden - vanilla.hidden)) <= 1e-9
 
     def test_matches_two_pass_oracle(self):
         model, layout, ids, partition = make_setup()
         cfg = batch_cfg(3)
-        result = run_parvts_batch(model, ids, layout, partition, cfg)
+        result = run_strategy(model, ids, layout, partition, cfg)
         reference = oracle_two_pass(model, ids, layout, partition, cfg)
         np.testing.assert_array_equal(result.positions, reference.positions)
         assert np.max(np.abs(result.hidden - reference.hidden)) <= 1e-6
 
     def test_system_identity_across_branches(self):
         model, layout, ids, partition = make_setup(num_layers=6)
-        result = run_parvts_batch(model, ids, layout, partition, batch_cfg(5))
+        result = run_strategy(model, ids, layout, partition, batch_cfg(5))
         diffs = result.diagnostics["system_identity_max_diff"]
         assert len(diffs) == 4  # layers j+1..n
         assert max(diffs) <= 1e-12
 
     def test_active_rows_after_migration(self):
         model, layout, ids, partition = make_setup(keep=6)
-        result = run_parvts_batch(model, ids, layout, partition, batch_cfg(2))
+        result = run_strategy(model, ids, layout, partition, batch_cfg(2))
         assert result.positions.size == 4 + 6 + 6
         assert result.hidden.shape[0] == 4 + 6 + 6
 
     def test_no_nonsubject_cache_entries(self):
         model, layout, ids, partition = make_setup()
-        result = run_parvts_batch(model, ids, layout, partition, batch_cfg(3))
+        result = run_strategy(model, ids, layout, partition, batch_cfg(3))
         cached = set(int(p) for p in result.cache.all_positions())
         dropped = set(int(p) for p in nonsubject_positions(layout, partition))
         assert not cached & dropped
@@ -157,16 +155,10 @@ class TestParvtsBatch:
         none_kept = partition_topk(
             toy_cls_attention(embed(model, ids[4:20]), 3), 0
         )
-        result = run_parvts_batch(model, ids, layout, none_kept, batch_cfg(2))
+        result = run_strategy(model, ids, layout, none_kept, batch_cfg(2))
         assert result.diagnostics["collapsed"] == "nonsubject-only"
         assert result.positions.size == 4 + 6
         assert result.cache.entry_counts() == [10] * 4
-
-    def test_strategy_mismatch_rejected(self):
-        model, layout, ids, partition = make_setup()
-        cfg = ScheduleConfig(Strategy.PARVTS_MASKED, 2, 0.5, 0.5, 1)
-        with pytest.raises(InvalidArgumentError):
-            run_parvts_batch(model, ids, layout, partition, cfg)
 
 
 class TestParvtsMasked:
@@ -175,8 +167,8 @@ class TestParvtsMasked:
 
     def test_retained_rows_match_batch_mode(self):
         model, layout, ids, partition = make_setup()
-        batch = run_parvts_batch(model, ids, layout, partition, batch_cfg(3))
-        masked = run_parvts_masked(model, ids, layout, partition, self.masked_cfg(3))
+        batch = run_strategy(model, ids, layout, partition, batch_cfg(3))
+        masked = run_strategy(model, ids, layout, partition, self.masked_cfg(3))
         diff = np.max(
             np.abs(
                 batch.diagnostics["retained_at_migration"]
@@ -187,8 +179,8 @@ class TestParvtsMasked:
 
     def test_question_gap_reported_not_zero_asserted(self):
         model, layout, ids, partition = make_setup()
-        batch = run_parvts_batch(model, ids, layout, partition, batch_cfg(3))
-        masked = run_parvts_masked(model, ids, layout, partition, self.masked_cfg(3))
+        batch = run_strategy(model, ids, layout, partition, batch_cfg(3))
+        masked = run_strategy(model, ids, layout, partition, self.masked_cfg(3))
         gap = np.max(
             np.abs(
                 batch.diagnostics["question_at_migration"]
@@ -202,7 +194,7 @@ class TestParvtsMasked:
         all_kept = partition_topk(
             toy_cls_attention(embed(model, ids[4:20]), 3), layout.num_visual
         )
-        result = run_parvts_masked(
+        result = run_strategy(
             model, ids, layout, all_kept, self.masked_cfg(n=1, j=1)
         )
         vanilla = run_vanilla(model, ids, layout)
@@ -210,7 +202,7 @@ class TestParvtsMasked:
 
     def test_cache_counts_after_prefill(self):
         model, layout, ids, partition = make_setup(keep=5)
-        result = run_parvts_masked(model, ids, layout, partition, self.masked_cfg(2))
+        result = run_strategy(model, ids, layout, partition, self.masked_cfg(2))
         assert result.cache.entry_counts() == [4 + 5 + 6] * 4
 
     def test_exclusive_mask_blocks_both_directions(self):
@@ -226,7 +218,7 @@ class TestSequentialSchedules:
     def test_swapped_rows_equal_embeddings_exactly(self):
         model, layout, ids, partition = make_setup()
         cfg = ScheduleConfig(Strategy.SUBJECT_FIRST, 4, 0.5, 0.5, 1)
-        result = run_subject_first(model, ids, layout, partition, cfg)
+        result = run_strategy(model, ids, layout, partition, cfg)
         non_pos = nonsubject_positions(layout, partition)
         swapped = result.hidden[4 : 4 + non_pos.size]
         np.testing.assert_array_equal(swapped, embed(model, ids[non_pos]))
@@ -234,7 +226,7 @@ class TestSequentialSchedules:
     def test_system_question_rows_persist_across_swap(self):
         model, layout, ids, partition = make_setup()
         cfg = ScheduleConfig(Strategy.SUBJECT_FIRST, 4, 0.5, 0.5, 1)
-        result = run_subject_first(model, ids, layout, partition, cfg)
+        result = run_strategy(model, ids, layout, partition, cfg)
         np.testing.assert_array_equal(
             result.hidden[:4], result.diagnostics["retained_at_migration"][:4]
         )
@@ -248,7 +240,7 @@ class TestSequentialSchedules:
             toy_cls_attention(embed(model, ids[4:20]), 3), layout.num_visual
         )
         cfg = ScheduleConfig(Strategy.SUBJECT_FIRST, 2, 0.5, 0.5, 1)
-        result = run_subject_first(model, ids, layout, all_kept, cfg)
+        result = run_strategy(model, ids, layout, all_kept, cfg)
         assert result.positions.size == 4 + 6
         assert np.all(np.isfinite(result.hidden))
 
@@ -260,8 +252,8 @@ class TestSequentialSchedules:
             subject_indices=partition.nonsubject_indices,
             nonsubject_indices=partition.subject_indices,
         )
-        a = run_subject_first(model, ids, layout, swapped, cfg_a)
-        b = run_nonsubject_first(model, ids, layout, partition, cfg_b)
+        a = run_strategy(model, ids, layout, swapped, cfg_a)
+        b = run_strategy(model, ids, layout, partition, cfg_b)
         np.testing.assert_array_equal(a.hidden, b.hidden)
         np.testing.assert_array_equal(a.positions, b.positions)
 
@@ -271,7 +263,7 @@ class TestSequentialSchedules:
             toy_cls_attention(embed(model, ids[4:20]), 3), 0
         )
         cfg = ScheduleConfig(Strategy.NONSUBJECT_FIRST, 4, 0.5, 0.5, 1)
-        result = run_nonsubject_first(model, ids, layout, none_kept, cfg)
+        result = run_strategy(model, ids, layout, none_kept, cfg)
         vanilla = run_vanilla(model, ids, layout)
         assert np.max(np.abs(result.hidden - vanilla.hidden[result.positions])) <= 1e-9
 
@@ -435,3 +427,31 @@ class TestScheduleConfig:
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
             result = run_strategy(model, ids, layout, partition, cfg)
             assert isinstance(result, PrefillResult)
+
+    # fault -> (change to (token ids, partition, cfg), start of the error message)
+    BAD_INPUTS = {
+        "token_count": (lambda ids, part, cfg: (ids[:-1], part, cfg), "25 token ids"),
+        "partition_span": (
+            lambda ids, part, cfg: (ids, Partition(np.arange(3), np.arange(3, 8)), cfg),
+            "partition size",
+        ),
+        "depth_0": (lambda ids, part, cfg: (ids, part, replace(cfg, migration_depth=0)),
+                    "migration_depth 0"),
+        "depth_N_plus_1": (lambda ids, part, cfg: (ids, part, replace(cfg, migration_depth=5)),
+                           "migration_depth 5"),
+        "joint_prefix_past_depth": (
+            lambda ids, part, cfg: (ids, part, replace(cfg, joint_prefix_layers=3)),
+            "joint_prefix_layers 3",
+        ),
+        "weights_not_convex": (lambda ids, part, cfg: (ids, part, replace(cfg, alpha=0.6)),
+                               "alpha 0.6"),
+    }
+
+    @pytest.mark.parametrize("fault", BAD_INPUTS)
+    @pytest.mark.parametrize("strategy", [s for s in Strategy if s is not Strategy.VANILLA])
+    def test_run_strategy_validates_every_schedule(self, strategy, fault):
+        model, layout, ids, partition = make_setup()
+        change, message = self.BAD_INPUTS[fault]
+        token_ids, part, cfg = change(ids, partition, ScheduleConfig(strategy, 2, 0.5, 0.5, 1))
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            run_strategy(model, token_ids, layout, part, cfg)
