@@ -137,7 +137,7 @@ class KVCache:
         end = length + positions.size
         if positions.size and (
             (length and positions[0] <= self._positions[layer][length - 1])
-            or np.any(np.diff(positions) <= 0)
+            or np.any(positions[1:] <= positions[:-1])
         ):
             raise InvalidArgumentError(
                 f"cache positions at layer {layer} must stay strictly increasing"
@@ -334,29 +334,37 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.
     Heads go through masked_softmax_rows in groups of ceil(heads / rows) with
     their score rows stacked, so a one-row decode step makes one softmax call
     per layer while a prefill keeps one rows x keys score matrix per head.
-    The softmax runs in place on that score buffer. Every score and AV product
-    stays a full-height, full-width per-head matmul, and query rows are never
-    split, so neither the grouping nor the softmax's row tiles change a bit.
+    A group's scores, and then its AV products, come from one stacked
+    np.matmul over its heads, because at decode sizes (d = 64, one row)
+    numpy's per-call dispatch costs more than the products. A stacked matmul
+    still makes one BLAS call per head, with the shape and strides of a
+    per-head call, and the softmax runs in place on the score buffer. Query
+    rows are never split, so neither the grouping, the stacking nor the
+    softmax's row tiles change a bit.
     """
     rows, heads, head_dim = q.shape
+    num_keys = keys.shape[0]
     scale = 1.0 / np.sqrt(head_dim)
-    group = -(-heads // max(rows, 1))
+    group = -(-heads // rows)
     if mask is None:
-        mask = np.ones((group * rows, keys.shape[0]), dtype=bool)
+        mask = np.ones((group * rows, num_keys), dtype=bool)
     elif group > 1:
         mask = np.tile(mask, (group, 1))
-    scores = np.empty((group * rows, keys.shape[0]))
-    ctx = np.empty(q.shape)
+    # head-major views: (heads, rows, head_dim), (heads, head_dim, keys), (heads, keys, head_dim)
+    q_heads = q.transpose(1, 0, 2)
+    k_heads = keys.transpose(1, 2, 0)
+    v_heads = values.transpose(1, 0, 2)
+    scores = np.empty((group, rows, num_keys))
+    ctx = np.empty((heads, rows, head_dim))
     for first in range(0, heads, group):
-        members = range(first, min(first + group, heads))
-        block = scores[: len(members) * rows]
-        for i, head in enumerate(members):
-            np.matmul(q[:, head, :], keys[:, head, :].T, out=block[i * rows : (i + 1) * rows])
+        last = min(first + group, heads)
+        stacked = scores[: last - first]
+        np.matmul(q_heads[first:last], k_heads[first:last], out=stacked)
+        block = stacked.reshape((last - first) * rows, num_keys)
         block *= scale
         masked_softmax_rows(block, mask[: block.shape[0]], out=block)
-        for i, head in enumerate(members):
-            ctx[:, head, :] = block[i * rows : (i + 1) * rows] @ values[:, head, :]
-    return ctx
+        np.matmul(stacked, v_heads[first:last], out=ctx[first:last])
+    return ctx.transpose(1, 0, 2)
 
 
 def _layer(
@@ -373,7 +381,8 @@ def _layer(
     normed = rms_norm_rows(h, lw.attn_gain)
     # one rotary call covers q and k, stacked along the head axis
     qk = rope_rotate_heads(
-        _split_heads(np.hstack([normed @ lw.w_q, normed @ lw.w_k]), 2 * heads), positions
+        _split_heads(np.concatenate([normed @ lw.w_q, normed @ lw.w_k], axis=1), 2 * heads),
+        positions,
     )
     q, k = qk[:, :heads], qk[:, heads:]
     v = _split_heads(normed @ lw.w_v, heads)
@@ -410,6 +419,8 @@ def run_layers(
             f"layer range {layer_range} outside [1, {cfg.num_layers}]"
         )
     positions = np.asarray(positions, dtype=np.int64)
+    if positions.size == 0:
+        raise InvalidArgumentError("run_layers needs at least one row")
     validate_positions(positions, cfg.max_positions)
     if hidden.shape != (positions.size, cfg.hidden_dim):
         raise InvalidArgumentError("hidden rows must match positions")

@@ -7,6 +7,7 @@ order; randomness comes from counter-keyed Philox streams so that the same
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,18 @@ def rms_norm_rows(x, gain) -> np.ndarray:
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape != (x.shape[1],):
         raise InvalidArgumentError("gain length does not match row width")
-    scale = 1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_NORM_EPS)
+    # np.mean's own sum and division, without its Python-level wrapper
+    mean_sq = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
+    scale = 1.0 / np.sqrt(mean_sq + RMS_NORM_EPS)
     return x * scale * gain
+
+
+@functools.cache
+def _rope_freqs(dim: int) -> np.ndarray:
+    """Read-only rotary frequencies ROPE_THETA_BASE ** (-2p / dim), p < dim / 2."""
+    freqs = ROPE_THETA_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def rope_apply(vec, position: int) -> np.ndarray:
@@ -143,9 +154,7 @@ def rope_apply(vec, position: int) -> np.ndarray:
         raise InvalidArgumentError("head dimension must be even")
     if position < 0:
         raise InvalidArgumentError("position must be non-negative")
-    dim = vec.size
-    freqs = ROPE_THETA_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
-    angles = position * freqs
+    angles = position * _rope_freqs(vec.size)
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = vec[0::2], vec[1::2]
     out = np.empty_like(vec)
@@ -163,9 +172,7 @@ def rope_rotate_heads(x, positions) -> np.ndarray:
     if x.ndim != 3 or x.shape[2] % 2 != 0:
         raise InvalidArgumentError("expected (rows, heads, even head_dim)")
     positions = np.asarray(positions, dtype=np.float64)
-    dim = x.shape[2]
-    freqs = ROPE_THETA_BASE ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
-    angles = positions[:, None, None] * freqs[None, None, :]
+    angles = positions[:, None, None] * _rope_freqs(x.shape[2])[None, None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)

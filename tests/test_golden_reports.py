@@ -7,9 +7,15 @@ least one capacity doubling in every cache layer and two in the smaller ones;
 and once at the benchmark's head size (d = 64) with 300 visual tokens, where
 a layer kernel that splits query rows differently changes the last bits of
 the decode logits, which the two d = 32 cases do not show.
+
+OpenBLAS splits large products by its thread count, which is read once when
+numpy loads, so the cases are also run in subprocesses under 1 and 2 threads.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +45,21 @@ def test_report_matches_golden_bytes(name):
     config = dataclasses.replace(experiment_config_from(resolved), strategies=tuple(Strategy))
     report = serialize_report(run_experiment(config, resolved))
     assert report.encode("utf-8") == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reports_match_golden_bytes_under_blas_threads(threads):
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+    )
+    code = (
+        "import test_golden_reports as t\n"
+        "for name in sorted(t.CASES):\n"
+        "    t.test_report_matches_golden_bytes(name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,7 @@ from parvts.model import (
 import parvts.model
 from parvts.harness import synthesize_token_ids
 from parvts.oracle import reference_prefill, reference_run
-from parvts.scheduler import group_exclusive_mask
+from parvts.scheduler import group_exclusive_mask, run_vanilla
 
 
 def small_config(**overrides):
@@ -103,6 +103,14 @@ class TestRunLayers:
         pos = np.arange(6)
         out = run_layers(model, embed(model, ids), pos, (1, 2), causal_mask(pos))
         np.testing.assert_allclose(out, reference_prefill(model, ids), atol=1e-12)
+
+    def test_zero_rows_rejected(self):
+        model = build_model(small_config())
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(InvalidArgumentError, match="at least one row"):
+            run_layers(model, embed(model, empty), empty, (1, 2), causal_mask(empty))
+        with pytest.raises(InvalidArgumentError, match="at least one row"):
+            run_vanilla(model, empty, SequenceLayout.from_counts(0, 0, 0))
 
     def test_fully_blocked_row_rejected(self):
         model = build_model(small_config())
@@ -204,6 +212,39 @@ class TestDecode:
         assert tokens_b == tokens_a[1:]
 
 
+def _kernel_outputs(model, hidden, pos, mask):
+    """run_layers output, the logits of 3 decode steps after it, then every layer's cache K/V."""
+    cache = model.new_cache()
+    out = [run_layers(model, hidden, pos, (1, model.config.num_layers), mask, cache)]
+    out += [decode_step(model, cache, 5 + step, int(pos[-1]) + 1 + step) for step in range(3)]
+    for layer in range(model.config.num_layers):
+        out += [cache.keys(layer), cache.values(layer)]
+    return out
+
+
+def _per_head_attention(q, keys, values, mask):
+    """Reference for _attention: one score and one AV matmul per head, in a Python loop."""
+    rows, heads, head_dim = q.shape
+    scale = 1.0 / np.sqrt(head_dim)
+    group = -(-heads // max(rows, 1))
+    if mask is None:
+        mask = np.ones((group * rows, keys.shape[0]), dtype=bool)
+    elif group > 1:
+        mask = np.tile(mask, (group, 1))
+    scores = np.empty((group * rows, keys.shape[0]))
+    ctx = np.empty(q.shape)
+    for first in range(0, heads, group):
+        members = range(first, min(first + group, heads))
+        block = scores[: len(members) * rows]
+        for i, head in enumerate(members):
+            np.matmul(q[:, head, :], keys[:, head, :].T, out=block[i * rows : (i + 1) * rows])
+        block *= scale
+        parvts.model.masked_softmax_rows(block, mask[: block.shape[0]], out=block)
+        for i, head in enumerate(members):
+            ctx[:, head, :] = block[i * rows : (i + 1) * rows] @ values[:, head, :]
+    return ctx
+
+
 class TestAttentionGrouping:
     """Heads share a softmax call in groups of ceil(heads / rows)."""
 
@@ -220,6 +261,22 @@ class TestAttentionGrouping:
         out = run_layers(model, hidden, pos, (1, 3), mask)
         expected = reference_run(model, hidden, pos, mask, 1, 3)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [8, 4, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
+    def test_stacked_heads_match_per_head_loop(self, monkeypatch, heads, rows, masking):
+        # 8 heads over 3 rows make groups of 3, 3 and a partial 2
+        model = build_model(small_config(hidden_dim=4 * heads, num_heads=heads, num_layers=3))
+        pos = np.array([0, 2, 3, 5, 7])[:rows]
+        mask = causal_mask(pos)
+        if masking == "group_exclusive":
+            mask = group_exclusive_mask(pos, pos[1:2], pos[2:4])
+        hidden = embed(model, synthesize_token_ids(model.config, rows))
+        stacked = _kernel_outputs(model, hidden, pos, mask)
+        monkeypatch.setattr(parvts.model, "_attention", _per_head_attention)
+        per_head = _kernel_outputs(model, hidden, pos, mask)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, per_head))
 
     @staticmethod
     def _count_softmax_calls(monkeypatch):
@@ -280,14 +337,6 @@ class TestTiledSoftmaxBits:
 
     ROWS = 448
 
-    def _outputs(self, model, hidden, pos, mask):
-        cache = model.new_cache()
-        out = [run_layers(model, hidden, pos, (1, model.config.num_layers), mask, cache)]
-        out += [decode_step(model, cache, 5 + step, self.ROWS + step) for step in range(3)]
-        for layer in range(model.config.num_layers):
-            out += [cache.keys(layer), cache.values(layer)]
-        return out
-
     @pytest.mark.parametrize("reference", ["softmax", "attention"])
     @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
     def test_matches_untiled_reference(self, monkeypatch, reference, masking):
@@ -301,12 +350,12 @@ class TestTiledSoftmaxBits:
             visual = pos[8:420]
             mask = group_exclusive_mask(pos, visual[::3], np.setdiff1d(visual, visual[::3]))
         hidden = embed(model, synthesize_token_ids(model.config, self.ROWS))
-        tiled = self._outputs(model, hidden, pos, mask)
+        tiled = _kernel_outputs(model, hidden, pos, mask)
         if reference == "softmax":
             monkeypatch.setattr(parvts.model, "masked_softmax_rows", _two_pass_softmax)
         else:
             monkeypatch.setattr(parvts.model, "_attention", _full_width_attention)
-        untiled = self._outputs(model, hidden, pos, mask)
+        untiled = _kernel_outputs(model, hidden, pos, mask)
         assert all(np.array_equal(a, b) for a, b in zip(tiled, untiled))
 
 
@@ -423,6 +472,10 @@ class TestCacheStorage:
         with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             cache.append(0, [9, 9], kv, kv)
         assert cache.positions(0).tolist() == [2, 5]
+        empty = KVCache(1, 2, 4)
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            empty.append(0, [9, 7], kv, kv)
+        assert empty.entry_counts() == [0]
 
     def test_append_rejects_rows_out_of_step_with_positions(self):
         cache = KVCache(1, 2, 4)

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from parvts.errors import InvalidArgumentError, InvalidMaskError
 from parvts.numerics import (
     RMS_NORM_EPS,
+    ROPE_THETA_BASE,
     SOFTMAX_TILE_ROWS,
     SOFTMAX_UNTILED_ROWS,
     RngState,
+    _rope_freqs,
     masked_softmax_rows,
     matmul,
     rms_norm,
+    rms_norm_rows,
     rope_apply,
     rope_rotate_heads,
     seeded_uniform,
@@ -168,6 +171,16 @@ class TestRmsNorm:
         with pytest.raises(InvalidArgumentError):
             rms_norm(np.ones(3), np.ones(4))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 300), st.integers(1, 130), st.integers(0, 2**16 - 1),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_rows_equal_mean_formula_bits(self, rows, width, seed, scale):
+        rng = RngState(seed)
+        x = seeded_uniform(rng, rows, width, scale)
+        gain = seeded_uniform(rng, 1, width, 2.0)[0]
+        expected = x * (1.0 / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_NORM_EPS)) * gain
+        np.testing.assert_array_equal(rms_norm_rows(x, gain), expected)
+
 
 class TestRope:
     def test_position_zero_is_identity(self):
@@ -194,14 +207,22 @@ class TestRope:
 
     def test_batched_matches_single(self):
         rng = RngState(5)
-        x = seeded_uniform(rng, 6, 16, 1.0).reshape(6, 2, 8)
-        positions = np.array([0, 2, 3, 7, 11, 12])
-        batched = rope_rotate_heads(x, positions)
-        for r in range(6):
-            for h in range(2):
-                np.testing.assert_array_equal(
-                    batched[r, h], rope_apply(x[r, h], int(positions[r]))
-                )
+        positions = np.array([0, 2, 3, 511, 2048, 4095])
+        for head_dim in range(2, 33, 2):
+            x = seeded_uniform(rng, 6, 2 * head_dim, 1.0).reshape(6, 2, head_dim)
+            batched = rope_rotate_heads(x, positions)
+            for r in range(6):
+                for h in range(2):
+                    np.testing.assert_array_equal(
+                        batched[r, h], rope_apply(x[r, h], int(positions[r]))
+                    )
+
+    def test_cached_frequencies_are_read_only(self):
+        freqs = _rope_freqs(8)
+        assert _rope_freqs(8) is freqs
+        with pytest.raises(ValueError, match="read-only"):
+            freqs[0] = 2.0
+        np.testing.assert_array_equal(freqs, ROPE_THETA_BASE ** (-np.arange(0, 8, 2) / 8))
 
 
 class TestSeededUniform:
