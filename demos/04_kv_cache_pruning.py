@@ -10,28 +10,23 @@ import numpy as np
 from parvts import (
     ModelConfig,
     ScheduleConfig,
-    SequenceLayout,
     Strategy,
-    build_model,
     decode_step,
-    embed,
     partition_topk,
     prune_cache,
     run_strategy,
     run_vanilla,
-    toy_cls_attention,
 )
-from parvts.harness import synthesize_token_ids
+from parvts.harness import seeded_inputs
 from parvts.scheduler import nonsubject_positions
 
-model = build_model(
+model, layout, ids, saliency = seeded_inputs(
     ModelConfig(
         num_layers=3, hidden_dim=16, num_heads=2, mlp_dim=32,
         vocab_size=53, max_positions=32, master_seed=11,
-    )
+    ),
+    num_system=2, num_visual=8, num_question=4,
 )
-layout = SequenceLayout.from_counts(2, 8, 4)
-ids = synthesize_token_ids(model.config, layout.total_prefill)
 
 vanilla = run_vanilla(model, ids, layout)
 print("vanilla cache entries per layer:", vanilla.cache.entry_counts())
@@ -46,8 +41,6 @@ logits = decode_step(model, pruned, token_id=7, position=layout.total_prefill)
 print(f"\nnext-token logits over the pruned cache: argmax = {int(np.argmax(logits))}")
 
 # A scheduled prefill prunes as it goes: non-subject positions never appear.
-lo, hi = layout.visual_span
-saliency = toy_cls_attention(embed(model, ids[lo:hi]), model.config.master_seed)
 partition = partition_topk(saliency, keep_count=3)
 result = run_strategy(
     model, ids, layout, partition,

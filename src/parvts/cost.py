@@ -57,8 +57,9 @@ class CostParams:
             raise InvalidArgumentError("pruning rate p must lie in [0, 1]")
         if not 1 <= self.n <= self.N:
             raise InvalidArgumentError(f"migration depth {self.n} outside [1, {self.N}]")
-        if min(self.L_text, self.L_img, self.M, self.d, self.m) < 0:
-            raise InvalidArgumentError("counts must be non-negative")
+        for name in ("L_text", "L_img", "M", "d", "m"):
+            if getattr(self, name) < 0:
+                raise InvalidArgumentError(f"{name} must be >= 0")
 
     @property
     def L(self) -> int:

@@ -5,7 +5,8 @@ the visual segment once, then runs every requested strategy on identical
 inputs, decodes greedily from each prefill, and collects token accounting,
 analytic FLOPs numbers, and divergence statistics against the vanilla run.
 The toy model has no semantics, so agreement rates are descriptive, never
-pass/fail thresholds.
+pass/fail thresholds. `seeded_inputs` and `decode_after` are the one
+statement of those inputs and of where decoding starts.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from .cost import (
     speedup_prefill,
 )
 from .errors import InvalidArgumentError, SaliencyFormatError
-from .model import ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits
+from .model import (
+    Model, ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits,
+)
 from .numerics import RngState, seeded_integers
 from .oracle import oracle_two_pass
-from .saliency import Partition, load_saliency, partition_topk, toy_cls_attention
-from .scheduler import ScheduleConfig, Strategy, run_strategy
+from .saliency import Partition, SaliencyScores, load_saliency, partition_topk, toy_cls_attention
+from .scheduler import PrefillResult, ScheduleConfig, Strategy, run_strategy
 
 SCHEMA_VERSION = 1
 
@@ -132,22 +135,58 @@ class RunReport:
     blocks: list[StrategyReport]
 
 
-def compare_states(a, b) -> tuple[float, float]:
-    """(max elementwise |a - b|, Frobenius norm of a - b)."""
+def compare_states(a, b) -> float:
+    """Max elementwise |a - b|."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    if diff.size == 0:
-        return 0.0, 0.0
-    return float(np.max(np.abs(diff))), float(np.linalg.norm(diff))
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)))
 
 
 def synthesize_token_ids(model_config: ModelConfig, count: int) -> np.ndarray:
     """Deterministic uniform token ids from the master seed."""
     rng = RngState(model_config.master_seed, counter=_TOKEN_STREAM_COUNTER)
     return seeded_integers(rng, count, 0, model_config.vocab_size)
+
+
+def seeded_inputs(
+    model_config: ModelConfig,
+    num_system: int,
+    num_visual: int,
+    num_question: int,
+    saliency_source: str = "toy",
+) -> tuple[Model, SequenceLayout, np.ndarray, SaliencyScores]:
+    """The model, layout, token ids and visual saliency a seeded experiment runs on.
+
+    "toy" takes the [CLS]-attention saliency of the embedded visual ids; any
+    other source is the path of a saliency file.
+    """
+    model = build_model(model_config)
+    layout = SequenceLayout.from_counts(num_system, num_visual, num_question)
+    ids = synthesize_token_ids(model_config, layout.total_prefill)
+    if saliency_source == "toy":
+        visual_ids = ids[layout.visual_span[0] : layout.visual_span[1]]
+        saliency = toy_cls_attention(embed(model, visual_ids), model_config.master_seed)
+    else:
+        try:
+            saliency = load_saliency(saliency_source)
+        except (OSError, SaliencyFormatError) as exc:
+            raise InvalidArgumentError(f"partition.saliency: {exc}") from exc
+        if len(saliency) != num_visual:
+            raise InvalidArgumentError(
+                f"partition.saliency has {len(saliency)} values for "
+                f"tokens.visual = {num_visual}"
+            )
+    return model, layout, ids, saliency
+
+
+def decode_after(model: Model, result: PrefillResult, steps: int) -> list[int]:
+    """Greedy decode over result.cache, fed first the argmax of the last prefill row."""
+    start_token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
+    return greedy_decode(model, result.cache, start_token, steps)
 
 
 def _strategy_flops(
@@ -177,26 +216,10 @@ def _strategy_flops(
 
 def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None = None) -> RunReport:
     """Run every requested strategy on one seeded input and collect a report."""
-    model = build_model(config.model)
-    total = config.num_system + config.num_visual + config.num_question
-    ids = synthesize_token_ids(config.model, total)
-    layout = SequenceLayout.from_counts(
-        config.num_system, config.num_visual, config.num_question
+    model, layout, ids, saliency = seeded_inputs(
+        config.model, config.num_system, config.num_visual, config.num_question,
+        config.saliency_source,
     )
-
-    if config.saliency_source == "toy":
-        visual_ids = ids[layout.visual_span[0] : layout.visual_span[1]]
-        saliency = toy_cls_attention(embed(model, visual_ids), config.model.master_seed)
-    else:
-        try:
-            saliency = load_saliency(config.saliency_source)
-        except (OSError, SaliencyFormatError) as exc:
-            raise InvalidArgumentError(f"partition.saliency: {exc}") from exc
-        if len(saliency) != config.num_visual:
-            raise InvalidArgumentError(
-                f"partition.saliency has {len(saliency)} values for "
-                f"tokens.visual = {config.num_visual}"
-            )
     partition = partition_topk(saliency, config.keep_count)
 
     params = CostParams(
@@ -210,19 +233,14 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         m=config.model.mlp_dim,
     )
 
-    q_lo, q_hi = layout.question_span
-    num_q = q_hi - q_lo
-
     def run_one(strategy: Strategy):
         cfg = replace(config.schedule, strategy=strategy)
         result = run_strategy(model, ids, layout, partition, cfg)
-        start_token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
-        decoded = greedy_decode(model, result.cache, start_token, config.decode_steps)
-        return cfg, result, decoded
+        return cfg, result, decode_after(model, result, config.decode_steps)
 
     # the vanilla run is the comparison baseline even when its block is not requested
     baseline_cfg, baseline_result, baseline_decoded = run_one(Strategy.VANILLA)
-    vanilla_question = baseline_result.hidden[-num_q:]
+    vanilla_question = baseline_result.hidden[-config.num_question :]
 
     results = {Strategy.VANILLA: baseline_result}
     blocks: list[StrategyReport] = []
@@ -234,8 +252,8 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
             cfg, result, decoded = run_one(strategy)
         results[strategy] = result
 
-        question = result.hidden[-num_q:]
-        max_abs, _ = compare_states(question, vanilla_question)
+        question = result.hidden[-config.num_question :]
+        max_abs = compare_states(question, vanilla_question)
         agreement = (
             float(np.mean(np.array(decoded) == np.array(baseline_decoded)))
             if decoded
@@ -245,7 +263,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         oracle_div = None
         if strategy is Strategy.PARVTS_BATCH:
             reference = oracle_two_pass(model, ids, layout, partition, cfg)
-            oracle_div, _ = compare_states(result.hidden, reference.hidden)
+            oracle_div = compare_states(result.hidden, reference.hidden)
 
         pf, df, rho_p, rho_d = _strategy_flops(strategy, params, partition)
         blocks.append(
@@ -269,7 +287,7 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         )
 
     if Strategy.PARVTS_BATCH in results and Strategy.PARVTS_MASKED in results:
-        gap, _ = compare_states(
+        gap = compare_states(
             results[Strategy.PARVTS_BATCH].diagnostics["question_at_migration"],
             results[Strategy.PARVTS_MASKED].diagnostics["question_at_migration"],
         )

@@ -213,7 +213,7 @@ def _run_parvts_batch(
 
     Branch inputs are rows of the joint-prefix output (fresh embeddings when
     the joint prefix is empty). An empty visual group collapses the run to a
-    single branch, reported in diagnostics rather than raised.
+    single branch rather than raising.
     """
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
@@ -257,7 +257,7 @@ def _run_parvts_batch(
             # visual rows of the sole branch are non-subject: drop them now
             retained = retained[~np.isin(sole_pos, non_pos)]
 
-    diagnostics = {"collapsed": collapsed, "system_identity_max_diff": identity_diffs}
+    diagnostics = {"system_identity_max_diff": identity_diffs}
     diagnostics.update(_at_migration(retained, num_q))
     keep_pos = np.concatenate([sys_pos, sub_pos, q_pos])
     hidden_out = _continuation(model, retained, keep_pos, n, cache, counts)
@@ -300,7 +300,7 @@ def _run_parvts_masked(
     if non_pos.size:
         cache = cache.drop_positions(non_pos)
 
-    diagnostics = {"collapsed": _collapsed(partition), **_at_migration(hidden, num_q)}
+    diagnostics = _at_migration(hidden, num_q)
     hidden = _continuation(model, hidden, keep_pos, n, cache, counts)
     return PrefillResult(hidden, cache, keep_pos, counts, diagnostics)
 
@@ -340,13 +340,7 @@ def _run_sequential(
         [h1[:num_sys], embed(model, ids[second_group_pos]), h1[num_sys + first_group_pos.size :]]
     )
 
-    diagnostics = {
-        "collapsed": (
-            "stage2-empty" if second_group_pos.size == 0
-            else "stage1-empty" if first_group_pos.size == 0 else None
-        ),
-        **_at_migration(h1, num_q),
-    }
+    diagnostics = _at_migration(h1, num_q)
     hidden = _continuation(model, h2, stage2_pos, cfg.migration_depth, cache, counts, names[1])
     return PrefillResult(hidden, cache, stage2_pos, counts, diagnostics)
 

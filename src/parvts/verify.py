@@ -27,14 +27,15 @@ from .errors import InvalidArgumentError
 from .harness import (
     ExperimentConfig,
     compare_states,
+    decode_after,
     run_experiment,
+    seeded_inputs,
     serialize_report,
-    synthesize_token_ids,
 )
-from .model import ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits
+from .model import ModelConfig
 from .oracle import oracle_two_pass
-from .saliency import partition_topk, toy_cls_attention
-from .scheduler import ScheduleConfig, Strategy, run_strategy, run_vanilla
+from .saliency import partition_topk
+from .scheduler import ScheduleConfig, Strategy, nonsubject_positions, run_strategy, run_vanilla
 
 ORACLE_TOLERANCE = 1e-6
 SYSTEM_IDENTITY_TOLERANCE = 1e-12
@@ -82,10 +83,12 @@ def sweep_cases() -> list[SweepCase]:
 
 
 class SweepRun:
+    """The batch, masked and two-pass oracle prefills of one sweep case."""
+
     def __init__(self, case: SweepCase):
         self.case = case
         num_system, num_question = 4, 6
-        self.model = build_model(
+        model, layout, ids, saliency = seeded_inputs(
             ModelConfig(
                 num_layers=case.num_layers,
                 hidden_dim=case.hidden_dim,
@@ -94,36 +97,26 @@ class SweepRun:
                 vocab_size=97,
                 max_positions=num_system + case.num_visual + num_question + 8,
                 master_seed=1000 + case.index,
-            )
+            ),
+            num_system, case.num_visual, num_question,
         )
-        self.layout = SequenceLayout.from_counts(
-            num_system, case.num_visual, num_question
-        )
-        self.ids = synthesize_token_ids(
-            self.model.config, self.layout.total_prefill
-        )
-        visual_ids = self.ids[self.layout.visual_span[0] : self.layout.visual_span[1]]
-        saliency = toy_cls_attention(
-            embed(self.model, visual_ids), self.model.config.master_seed
-        )
-        self.partition = partition_topk(saliency, case.keep_count)
-        self.cfg = ScheduleConfig(
+        partition = partition_topk(saliency, case.keep_count)
+        cfg = ScheduleConfig(
             strategy=Strategy.PARVTS_BATCH,
             migration_depth=case.migration_depth,
             alpha=case.alpha,
             beta=1.0 - case.alpha,
             joint_prefix_layers=1,
         )
-        self.batch = run_strategy(
-            self.model, self.ids, self.layout, self.partition, self.cfg
-        )
+        self.batch = run_strategy(model, ids, layout, partition, cfg)
         self.masked = run_strategy(
-            self.model, self.ids, self.layout, self.partition,
-            replace(self.cfg, strategy=Strategy.PARVTS_MASKED),
+            model, ids, layout, partition, replace(cfg, strategy=Strategy.PARVTS_MASKED)
         )
-        self.oracle = oracle_two_pass(
-            self.model, self.ids, self.layout, self.partition, self.cfg
-        )
+        self.oracle = oracle_two_pass(model, ids, layout, partition, cfg)
+        # Held until the sweep is dropped: freeing each model between runs
+        # leaves the heap fragmented among the kept results, and later 0.5 MB
+        # allocations then grow and trim the heap top on every call.
+        self.model = model
 
 
 class _Context:
@@ -145,7 +138,7 @@ def check_oracle_equivalence(ctx: _Context) -> CheckResult:
     runs = ctx.sweep()
     worst = 0.0
     for run in runs:
-        max_abs, _ = compare_states(run.batch.hidden, run.oracle.hidden)
+        max_abs = compare_states(run.batch.hidden, run.oracle.hidden)
         worst = max(worst, max_abs)
     ok = worst <= ORACLE_TOLERANCE and ctx.sweep_seconds < 30.0
     detail = f"{len(runs)} configurations, max |batch - two-pass| = {worst:.3e}"
@@ -175,11 +168,11 @@ def check_cross_mode_agreement(ctx: _Context) -> CheckResult:
     worst_gap = 0.0
     finite = True
     for run in ctx.sweep():
-        rows, _ = compare_states(
+        rows = compare_states(
             run.batch.diagnostics["retained_at_migration"],
             run.masked.diagnostics["retained_at_migration"],
         )
-        gap, _ = compare_states(
+        gap = compare_states(
             run.batch.diagnostics["question_at_migration"],
             run.masked.diagnostics["question_at_migration"],
         )
@@ -195,7 +188,7 @@ def check_cross_mode_agreement(ctx: _Context) -> CheckResult:
 
 
 def _reduction_setup():
-    model = build_model(
+    return seeded_inputs(
         ModelConfig(
             num_layers=4,
             hidden_dim=32,
@@ -204,13 +197,9 @@ def _reduction_setup():
             vocab_size=89,
             max_positions=40,
             master_seed=7,
-        )
+        ),
+        3, 12, 5,
     )
-    layout = SequenceLayout.from_counts(3, 12, 5)
-    ids = synthesize_token_ids(model.config, layout.total_prefill)
-    visual_ids = ids[layout.visual_span[0] : layout.visual_span[1]]
-    saliency = toy_cls_attention(embed(model, visual_ids), model.config.master_seed)
-    return model, layout, ids, saliency
 
 
 def check_reduction_chain(_: _Context) -> CheckResult:
@@ -232,7 +221,7 @@ def check_reduction_chain(_: _Context) -> CheckResult:
         cfg = ScheduleConfig(strategy, n, alpha, 1.0 - alpha, 1)
         result = run_strategy(model, ids, layout, partition, cfg)
         aligned = vanilla.hidden[result.positions]
-        max_abs, _ = compare_states(result.hidden, aligned)
+        max_abs = compare_states(result.hidden, aligned)
         worst = max(worst, max_abs)
     ok = worst <= REDUCTION_TOLERANCE
     return CheckResult(
@@ -246,14 +235,13 @@ def check_kv_cache_pruning(_: _Context) -> CheckResult:
     failures = []
     for keep in (0, 4, layout.num_visual):
         partition = partition_topk(saliency, keep)
-        nonsubject = layout.visual_span[0] + partition.nonsubject_indices
+        nonsubject = nonsubject_positions(layout, partition)
+        expected = layout.total_prefill - layout.num_visual + keep + decode_steps
         for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             name = strategy.value
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
             result = run_strategy(model, ids, layout, partition, cfg)
-            start = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
-            greedy_decode(model, result.cache, start, decode_steps)
-            expected = 3 + keep + 5 + decode_steps
+            decode_after(model, result, decode_steps)
             counts = result.cache.entry_counts()
             if any(c != expected for c in counts):
                 failures.append(f"{name} k={keep}: counts {counts} != {expected}")

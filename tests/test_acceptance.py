@@ -18,8 +18,7 @@ from parvts.cost import (
     speedup_decoding,
     speedup_prefill,
 )
-from parvts.harness import compare_states, run_experiment, serialize_report
-from parvts.model import greedy_decode, output_logits
+from parvts.harness import compare_states, decode_after, run_experiment, serialize_report
 from parvts.scheduler import ScheduleConfig, Strategy, run_strategy, run_vanilla
 from parvts.saliency import partition_topk
 from parvts.verify import (
@@ -49,7 +48,7 @@ def test_criterion_01_oracle_equivalence(sweep):
     worst = 0.0
     for run in runs:
         np.testing.assert_array_equal(run.batch.positions, run.oracle.positions)
-        max_abs, _ = compare_states(run.batch.hidden, run.oracle.hidden)
+        max_abs = compare_states(run.batch.hidden, run.oracle.hidden)
         worst = max(worst, max_abs)
         assert max_abs <= 1e-6
     assert elapsed < 30.0
@@ -70,12 +69,12 @@ def test_criterion_03_cross_mode_row_agreement(sweep):
     runs, _ = sweep
     worst_rows, worst_gap = 0.0, 0.0
     for run in runs:
-        rows, _ = compare_states(
+        rows = compare_states(
             run.batch.diagnostics["retained_at_migration"],
             run.masked.diagnostics["retained_at_migration"],
         )
         assert rows <= 1e-9
-        gap, _ = compare_states(
+        gap = compare_states(
             run.batch.diagnostics["question_at_migration"],
             run.masked.diagnostics["question_at_migration"],
         )
@@ -113,7 +112,7 @@ def test_criterion_04_reduction_chain():
     ]
     worst = 0.0
     for result in reductions:
-        max_abs, _ = compare_states(result.hidden, vanilla.hidden[result.positions])
+        max_abs = compare_states(result.hidden, vanilla.hidden[result.positions])
         worst = max(worst, max_abs)
         assert max_abs <= 1e-9
     print(f"PASS criterion 4: four reductions reproduce vanilla, max |d| = {worst:.3e}")
@@ -131,8 +130,7 @@ def test_criterion_05_kv_cache_claim():
         for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
             result = run_strategy(model, ids, layout, partition, cfg)
-            start = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
-            greedy_decode(model, result.cache, start, decode_steps)
+            decode_after(model, result, decode_steps)
             expected = num_system + keep + num_question + decode_steps
             assert result.cache.entry_counts() == [expected] * model.config.num_layers
             cached = set(int(p) for p in result.cache.all_positions())

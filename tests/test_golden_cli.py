@@ -1,10 +1,12 @@
-"""`parvts cost` and `parvts sweep` must keep their output byte for byte.
+"""`parvts cost`, `parvts sweep` and `parvts verify` must keep their output byte for byte.
 
 Each file under tests/data/cli_*.txt holds, for one command line, the exit
 code, stdout, stderr and (for `sweep`) the CSV it wrote, in the layout that
-`render` produces. The files were written before the cost model's fields
-were derived from `CostParams` / `CostReport`, so they pin the flags, the
-printout order, the CSV columns and the `--L` consistency check.
+`render` produces. The cost and sweep files were written before the cost
+model's fields were derived from `CostParams` / `CostReport`, so they pin the
+flags, the printout order, the CSV columns and the `--L` consistency check.
+cli_verify.txt was written before verify took its inputs and decodes from the
+harness; it pins every check's verdict and printed figures.
 """
 
 from pathlib import Path
@@ -35,6 +37,7 @@ CASES = {
         "sweep", "--out", "sweep.csv", "--config", str(ROOT / "demos" / "experiment.cfg"),
         "n=1,3,16,32", "p=0.5,0.889",
     ),
+    "cli_verify.txt": ("verify",),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parvts.model import build_model, causal_mask, decode_step, ModelConfig, SequenceLayout, embed
-from parvts.harness import synthesize_token_ids
+from parvts.harness import seeded_inputs, synthesize_token_ids
 from parvts.numerics import SOFTMAX_UNTILED_ROWS
 from parvts.oracle import oracle_two_pass, reference_prefill, reference_run
 from parvts.saliency import partition_topk, toy_cls_attention
@@ -20,17 +20,13 @@ from parvts.scheduler import (
 
 
 def setup():
-    model = build_model(
+    return seeded_inputs(
         ModelConfig(
             num_layers=4, hidden_dim=32, num_heads=4, mlp_dim=64,
             vocab_size=97, max_positions=48, master_seed=3,
-        )
+        ),
+        4, 16, 6,
     )
-    layout = SequenceLayout.from_counts(4, 16, 6)
-    ids = synthesize_token_ids(model.config, layout.total_prefill)
-    lo, hi = layout.visual_span
-    saliency = toy_cls_attention(embed(model, ids[lo:hi]), 3)
-    return model, layout, ids, saliency
 
 
 def test_reduces_to_vanilla():
@@ -77,18 +73,15 @@ STAGED_KEEP, STAGED_DEPTH = 16, 2
 
 
 def staged_setup():
-    model = build_model(
+    model, layout, ids, saliency = seeded_inputs(
         ModelConfig(
             num_layers=4, hidden_dim=32, num_heads=2, mlp_dim=64,
             vocab_size=97, max_positions=256, master_seed=3,
-        )
+        ),
+        4, 200, 6,
     )
-    layout = SequenceLayout.from_counts(4, 200, 6)
     assert layout.total_prefill > SOFTMAX_UNTILED_ROWS
-    ids = synthesize_token_ids(model.config, layout.total_prefill)
-    lo, hi = layout.visual_span
-    partition = partition_topk(toy_cls_attention(embed(model, ids[lo:hi]), 3), STAGED_KEEP)
-    return model, layout, ids, partition
+    return model, layout, ids, partition_topk(saliency, STAGED_KEEP)
 
 
 def staged_masked(model, ids, layout, partition, n, j):
