@@ -20,6 +20,8 @@ from .numerics import (
     rms_norm_rows,
     rope_rotate_heads,
     seeded_uniform,
+    softmax_rows,
+    softmax_tiles,
 )
 
 
@@ -286,29 +288,50 @@ def embed(model: Model, token_ids) -> np.ndarray:
     return model.embedding[ids].copy()
 
 
+def _check_increasing(pos: np.ndarray):
+    if (pos[1:] <= pos[:-1]).any():
+        raise InvalidArgumentError("positions must be strictly increasing")
+
+
 def causal_mask(positions) -> np.ndarray:
-    """allowed[q, k] iff position[k] <= position[q]."""
+    """allowed[q, k] iff position[k] <= position[q], for strictly increasing positions.
+
+    Raises InvalidArgumentError on positions that do not strictly increase.
+    """
     pos = np.asarray(positions, dtype=np.int64)
-    return pos[None, :] <= pos[:, None]
+    _check_increasing(pos)
+    return np.tri(pos.size, dtype=bool)
 
 
-def validate_mask(mask, positions):
-    """Check causality against original positions and non-empty query rows."""
+def validate_mask(mask, positions) -> list[tuple[int, int, int, int]]:
+    """Check a mask over strictly increasing positions; return its softmax_tiles.
+
+    Raises InvalidArgumentError on a shape other than (rows, rows), then on
+    positions that do not strictly increase; then InvalidMaskError if a row
+    may attend to a later position, then if a row has no allowed key.
+    """
     mask = np.asarray(mask, dtype=bool)
     pos = np.asarray(positions, dtype=np.int64)
     if mask.shape != (pos.size, pos.size):
         raise InvalidArgumentError("mask shape must be (rows, rows)")
-    if np.any(mask & (pos[None, :] > pos[:, None])):
-        raise InvalidMaskError("mask allows attention to a future position")
+    _check_increasing(pos)
+    tiles = softmax_tiles(mask)
+    # Later positions are later columns, so a tile's rows may see no column
+    # past the tile, nor one above the diagonal of the tile's diagonal block.
+    above = ~np.tri(tiles[0][1] if tiles else 0, dtype=bool)  # the first tile is the largest
+    for start, stop, _, end in tiles:
+        size = stop - start
+        if end > stop or (mask[start:stop, start:stop] & above[:size, :size]).any():
+            raise InvalidMaskError("mask allows attention to a future position")
     if not mask.any(axis=1).all():
         bad = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise InvalidMaskError(f"query row {bad} has no allowed key")
+    return tiles
 
 
 def validate_positions(positions, max_positions: int):
     pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and (not np.all(np.diff(pos) > 0)):
-        raise InvalidArgumentError("positions must be strictly increasing")
+    _check_increasing(pos)
     if pos.size and (pos.min() < 0 or pos.max() >= max_positions):
         raise InvalidArgumentError("position outside [0, max_positions)")
 
@@ -327,13 +350,15 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.ndarray:
+def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles) -> np.ndarray:
     """Per-head softmax(q k^T / sqrt(head_dim)) v under `mask` (None allows every key).
 
-    q is (rows, heads, head_dim); keys and values are (keys, heads, head_dim).
-    Heads go through masked_softmax_rows in groups of ceil(heads / rows) with
-    their score rows stacked, so a one-row decode step makes one softmax call
-    per layer while a prefill keeps one rows x keys score matrix per head.
+    q is (rows, heads, head_dim); keys and values are (keys, heads, head_dim);
+    `tiles` are softmax_tiles(mask) (None without a mask). Heads go through
+    the softmax in groups of ceil(heads / rows) with their score rows stacked,
+    so a one-row decode step makes one softmax_rows call per layer, with no
+    mask to build or check, while a prefill keeps one rows x keys score matrix
+    per head.
     A group's scores, and then its AV products, come from one stacked
     np.matmul over its heads, because at decode sizes (d = 64, one row)
     numpy's per-call dispatch costs more than the products. A stacked matmul
@@ -346,10 +371,9 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.
     num_keys = keys.shape[0]
     scale = 1.0 / np.sqrt(head_dim)
     group = -(-heads // rows)
-    if mask is None:
-        mask = np.ones((group * rows, num_keys), dtype=bool)
-    elif group > 1:
+    if mask is not None and group > 1:
         mask = np.tile(mask, (group, 1))
+        tiles = softmax_tiles(mask)
     # head-major views: (heads, rows, head_dim), (heads, head_dim, keys), (heads, keys, head_dim)
     q_heads = q.transpose(1, 0, 2)
     k_heads = keys.transpose(1, 2, 0)
@@ -361,20 +385,31 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask) -> np.
         stacked = scores[: last - first]
         np.matmul(q_heads[first:last], k_heads[first:last], out=stacked)
         block = stacked.reshape((last - first) * rows, num_keys)
+        # one contiguous multiply beats scaling each tile's columns :end
         block *= scale
-        masked_softmax_rows(block, mask[: block.shape[0]], out=block)
+        if mask is None:
+            softmax_rows(block, out=block)
+        else:
+            masked_softmax_rows(block, mask[: block.shape[0]], out=block, tiles=tiles)
         np.matmul(stacked, v_heads[first:last], out=ctx[first:last])
     return ctx.transpose(1, 0, 2)
 
 
 def _layer(
-    model: Model, layer: int, h: np.ndarray, positions: np.ndarray, mask, cache: KVCache | None
+    model: Model,
+    layer: int,
+    h: np.ndarray,
+    positions: np.ndarray,
+    mask,
+    tiles,
+    cache: KVCache | None,
 ) -> np.ndarray:
     """One decoder block (0-based `layer`) over the rows of `h`.
 
     The rows' keys and values are appended to `cache` when one is given. With
-    a `mask` the rows attend among themselves under it; without one they
-    attend to every entry the cache holds at this layer, their own included.
+    a `mask` (and its `tiles`, as validate_mask returns them) the rows attend
+    among themselves under it; without one they attend to every entry the
+    cache holds at this layer, their own included.
     """
     lw = model.layers[layer]
     heads = model.config.num_heads
@@ -390,7 +425,7 @@ def _layer(
         cache.append(layer, positions, k, v)
     if mask is None:
         k, v = cache.keys(layer), cache.values(layer)
-    h = h + _merge_heads(_attention(q, k, v, mask)) @ lw.w_o
+    h = h + _merge_heads(_attention(q, k, v, mask, tiles)) @ lw.w_o
     normed = rms_norm_rows(h, lw.mlp_gain)
     return h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
 
@@ -424,11 +459,11 @@ def run_layers(
     validate_positions(positions, cfg.max_positions)
     if hidden.shape != (positions.size, cfg.hidden_dim):
         raise InvalidArgumentError("hidden rows must match positions")
-    validate_mask(mask, positions)
+    tiles = validate_mask(mask, positions)
     mask = np.asarray(mask, dtype=bool)
 
     for layer in range(first - 1, last):
-        hidden = _layer(model, layer, hidden, positions, mask, cache)
+        hidden = _layer(model, layer, hidden, positions, mask, tiles, cache)
     return hidden
 
 
@@ -457,7 +492,7 @@ def decode_step(model: Model, cache: KVCache, token_id: int, position: int) -> n
     h = embed(model, [token_id])
     pos_arr = np.array([position], dtype=np.int64)
     for layer in range(cfg.num_layers):
-        h = _layer(model, layer, h, pos_arr, None, cache)
+        h = _layer(model, layer, h, pos_arr, None, None, cache)
     return output_logits(model, h)[0]
 
 

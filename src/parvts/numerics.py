@@ -63,20 +63,70 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
-def masked_softmax_rows(scores, mask, out=None) -> np.ndarray:
+def _softmax_tile(tile, part):
+    """Row softmax of `part`, the leading columns of `tile`, in place.
+
+    The columns of `tile` past `part` must already be 0 and blocked entries of
+    `part` -inf (exp(-inf) is exactly 0, so they need no second pass). Each row
+    is divided by its sum over the full width of `tile`: numpy's pairwise sum
+    groups the terms by row length, so a sum over `part` alone would change
+    bits.
+    """
+    part -= part.max(axis=1, keepdims=True)
+    np.exp(part, out=part)
+    part /= tile.sum(axis=1, keepdims=True)
+
+
+def softmax_tiles(mask) -> list[tuple[int, int, int, int]]:
+    """The row tiles masked_softmax_rows works in, as (start, stop, lo, end).
+
+    Up to SOFTMAX_UNTILED_ROWS rows there is one tile, else one per
+    SOFTMAX_TILE_ROWS rows. `end` is one past the last column any row of the
+    tile may attend to (0 if none may), and `lo` is the first column below
+    `end` that some row of the tile blocks (`end` if none does). The facts are
+    the same for every head and layer a mask serves, so callers that reuse a
+    mask compute them once.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    rows, cols = mask.shape
+    step = max(rows, 1) if rows <= SOFTMAX_UNTILED_ROWS else SOFTMAX_TILE_ROWS
+    tiles = []
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        band = mask[start:stop]
+        # the ufunc reductions skip ndarray.any/all's Python wrappers
+        seen = np.logical_or.reduce(band, axis=0)
+        end = cols - int(seen[::-1].argmax()) if seen.any() else 0
+        shared = np.logical_and.reduce(band[:, :end], axis=0)
+        lo = end if shared.all() else int(shared.argmin())
+        tiles.append((start, stop, lo, end))
+    return tiles
+
+
+def softmax_rows(scores, out=None) -> np.ndarray:
+    """Row softmax over every entry, bit for bit masked_softmax_rows under an
+    all-true mask. `out` works as in masked_softmax_rows."""
+    scores = as_matrix(scores)
+    out = _output(scores, out)
+    _softmax_tile(out, out)
+    return out
+
+
+def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
     """Row softmax over the allowed entries of `mask`; blocked entries are 0.
 
     The result is written to `out` when one is given (a float64 array of the
     scores' shape, possibly `scores` itself), else to a new array; `scores`
-    is only changed when it is `out`. Above SOFTMAX_UNTILED_ROWS rows, rows go
-    in tiles of SOFTMAX_TILE_ROWS, and a tile's work stops at the last column
-    any of its rows may attend to; the columns past it are written as 0. Each
-    row is still summed over its full width, because numpy's pairwise sum
-    groups the terms by row length, so the result equals the untiled formula
-    bit for bit. A row whose allowed scores are all -inf, or hold NaN or +inf,
-    is NaN up to its tile's last allowed column and 0 past it.
+    is only changed when it is `out`. Rows go in the tiles of
+    softmax_tiles(mask), which a caller that has them passes as `tiles`; a
+    tile's work stops at its `end` column, the columns past it are written as
+    0, and the -inf fill of blocked entries starts at its `lo` column. The
+    result equals the untiled formula bit for bit. A row whose allowed scores
+    are all -inf, or hold NaN or +inf, is NaN up to its tile's `end` and 0
+    past it.
 
-    Raises InvalidMaskError if any row has no allowed entry.
+    Raises InvalidMaskError if any row has no allowed entry; given `tiles`,
+    the caller has checked that (validate_mask does).
     """
     scores = as_matrix(scores)
     mask = np.asarray(mask, dtype=bool)
@@ -84,32 +134,29 @@ def masked_softmax_rows(scores, mask, out=None) -> np.ndarray:
         raise InvalidArgumentError(
             f"mask shape {mask.shape} does not match scores shape {scores.shape}"
         )
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise InvalidMaskError(f"query row {bad} has no allowed key")
+    if tiles is None:
+        allowed = mask.any(axis=1)
+        if not allowed.all():
+            bad = int(np.flatnonzero(~allowed)[0])
+            raise InvalidMaskError(f"query row {bad} has no allowed key")
+        tiles = softmax_tiles(mask)
+    out = _output(scores, out)
+    for start, stop, lo, end in tiles:
+        tile = out[start:stop]
+        tile[:, end:] = 0.0
+        np.copyto(tile[:, lo:end], -np.inf, where=~mask[start:stop, lo:end])
+        _softmax_tile(tile, tile[:, :end])
+    return out
+
+
+def _output(scores, out) -> np.ndarray:
+    """`out` holding a copy of `scores` (a new array when `out` is None)."""
     if out is None:
-        out = scores.copy()
-    elif not isinstance(out, np.ndarray) or out.shape != scores.shape or out.dtype != np.float64:
+        return scores.copy()
+    if not isinstance(out, np.ndarray) or out.shape != scores.shape or out.dtype != np.float64:
         raise InvalidArgumentError(f"out must be a float64 array of shape {scores.shape}")
-    elif out is not scores:
+    if out is not scores:
         np.copyto(out, scores)
-    rows, cols = scores.shape
-    if rows <= SOFTMAX_UNTILED_ROWS:
-        tiles = [(out, out, mask)]
-    else:
-        tiles = []
-        for start in range(0, rows, SOFTMAX_TILE_ROWS):
-            band = slice(start, start + SOFTMAX_TILE_ROWS)
-            # one past the last column that some row of the tile may attend to
-            end = cols - int(np.argmax(mask[band].any(axis=0)[::-1]))
-            out[band, end:] = 0.0
-            tiles.append((out[band], out[band, :end], mask[band, :end]))
-    for tile, part, allowed in tiles:
-        # exp(-inf) is exactly 0, so blocked entries need no second pass
-        np.copyto(part, -np.inf, where=~allowed)
-        part -= part.max(axis=1, keepdims=True)
-        np.exp(part, out=part)
-        part /= tile.sum(axis=1, keepdims=True)
     return out
 
 

@@ -48,13 +48,12 @@ def reference_layer(model: Model, hidden, positions, mask, layer_index: int) -> 
         allowed = np.flatnonzero(mask[r])
         pieces = []
         for h in range(nh):
-            logits = np.array([float(q[r, h] @ k[a, h]) * scale for a in allowed])
+            query = q[r, h]
+            logits = np.array([float(query @ key) * scale for key in k[allowed, h]])
             weights = np.exp(logits - logits.max())
             weights /= weights.sum()
-            ctx = np.zeros(dh)
-            for i, a in enumerate(allowed):
-                ctx = ctx + weights[i] * v[a, h]
-            pieces.append(ctx)
+            # the weighted values added one key at a time, in key order
+            pieces.append(np.cumsum(weights[:, None] * v[allowed, h], axis=0)[-1])
         attn_out[r] = np.concatenate(pieces)
 
     h1 = hidden + matmul(attn_out, lw.w_o)

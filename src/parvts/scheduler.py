@@ -112,8 +112,7 @@ def group_exclusive_mask(positions, subject_pos, nonsubject_pos) -> np.ndarray:
     allowed = causal_mask(positions)
     in_sub = np.isin(positions, subject_pos)
     in_non = np.isin(positions, nonsubject_pos)
-    allowed[np.ix_(in_sub, in_non)] = False
-    allowed[np.ix_(in_non, in_sub)] = False
+    allowed &= ~((in_sub[:, None] & in_non) | (in_non[:, None] & in_sub))
     return allowed
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parvts.errors import InvalidArgumentError, InvalidMaskError
 from parvts.model import (
@@ -17,6 +19,7 @@ from parvts.model import (
 )
 import parvts.model
 from parvts.harness import synthesize_token_ids
+from parvts.numerics import SOFTMAX_UNTILED_ROWS, softmax_tiles
 from parvts.oracle import reference_prefill, reference_run
 from parvts.scheduler import group_exclusive_mask, run_vanilla
 
@@ -222,8 +225,12 @@ def _kernel_outputs(model, hidden, pos, mask):
     return out
 
 
-def _per_head_attention(q, keys, values, mask):
-    """Reference for _attention: one score and one AV matmul per head, in a Python loop."""
+def _per_head_attention(q, keys, values, mask, tiles):
+    """Reference for _attention: one score and one AV matmul per head, in a Python loop.
+
+    It scales every column, leaves masked_softmax_rows to find its own tiles,
+    and runs decode steps under an all-true mask.
+    """
     rows, heads, head_dim = q.shape
     scale = 1.0 / np.sqrt(head_dim)
     group = -(-heads // max(rows, 1))
@@ -279,15 +286,15 @@ class TestAttentionGrouping:
         assert all(np.array_equal(a, b) for a, b in zip(stacked, per_head))
 
     @staticmethod
-    def _count_softmax_calls(monkeypatch):
+    def _count_softmax_calls(monkeypatch, name="masked_softmax_rows"):
         calls = []
-        inner = parvts.model.masked_softmax_rows
+        inner = getattr(parvts.model, name)
 
-        def counting(scores, mask, out=None):
+        def counting(scores, *args, **kwargs):
             calls.append(np.shape(scores))
-            return inner(scores, mask, out=out)
+            return inner(scores, *args, **kwargs)
 
-        monkeypatch.setattr(parvts.model, "masked_softmax_rows", counting)
+        monkeypatch.setattr(parvts.model, name, counting)
         return calls
 
     def test_decode_step_makes_one_call_per_layer(self, monkeypatch):
@@ -295,9 +302,11 @@ class TestAttentionGrouping:
         cache = model.new_cache()
         pos = np.arange(5)
         run_layers(model, embed(model, [1, 2, 3, 4, 5]), pos, (1, 3), causal_mask(pos), cache)
-        calls = self._count_softmax_calls(monkeypatch)
+        calls = self._count_softmax_calls(monkeypatch, "softmax_rows")
+        masked_calls = self._count_softmax_calls(monkeypatch)
         decode_step(model, cache, 6, 5)
         assert calls == [(4, 6)] * 3
+        assert masked_calls == []
 
     @pytest.mark.parametrize("rows, per_layer", [(1, 1), (2, 2), (3, 2), (4, 4), (6, 4)])
     def test_run_layers_calls_per_layer(self, monkeypatch, rows, per_layer):
@@ -308,8 +317,8 @@ class TestAttentionGrouping:
         assert len(calls) == per_layer * 3
 
 
-def _two_pass_softmax(scores, mask, out=None):
-    """masked_softmax_rows as one untiled pass over every column."""
+def _two_pass_softmax(scores, mask, out=None, tiles=None):
+    """masked_softmax_rows as one untiled pass over every column; `tiles` is ignored."""
     neg = np.where(mask, scores, -np.inf)
     expd = np.exp(neg - neg.max(axis=1, keepdims=True))
     weights = expd / expd.sum(axis=1, keepdims=True)
@@ -319,7 +328,12 @@ def _two_pass_softmax(scores, mask, out=None):
     return out
 
 
-def _full_width_attention(q, keys, values, mask):
+def _two_pass_unmasked_softmax(scores, out=None):
+    """softmax_rows as _two_pass_softmax under an all-true mask."""
+    return _two_pass_softmax(scores, np.ones(np.shape(scores), dtype=bool), out=out)
+
+
+def _full_width_attention(q, keys, values, mask, tiles):
     """Per-head attention over every key: full score and AV products, untiled softmax."""
     rows, heads, head_dim = q.shape
     if mask is None:
@@ -353,6 +367,7 @@ class TestTiledSoftmaxBits:
         tiled = _kernel_outputs(model, hidden, pos, mask)
         if reference == "softmax":
             monkeypatch.setattr(parvts.model, "masked_softmax_rows", _two_pass_softmax)
+            monkeypatch.setattr(parvts.model, "softmax_rows", _two_pass_unmasked_softmax)
         else:
             monkeypatch.setattr(parvts.model, "_attention", _full_width_attention)
         untiled = _kernel_outputs(model, hidden, pos, mask)
@@ -400,6 +415,53 @@ class TestMasksAndCache:
         mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(InvalidMaskError):
             validate_mask(mask, np.array([0, 1]))  # row 0 sees position 1
+
+    @pytest.mark.parametrize("positions", [[1, 0], [0, 2, 2], [0, 3, 1, 4]])
+    def test_validate_mask_rejects_nonincreasing_positions(self, positions):
+        pos = np.array(positions)
+        with pytest.raises(InvalidArgumentError, match="^positions must be strictly increasing$"):
+            validate_mask(np.eye(pos.size, dtype=bool), pos)
+
+    # (rows, row, future column): inside the one untiled block, inside the last
+    # tile's diagonal block, and past the row's tile (64-row tiles above 192 rows)
+    @pytest.mark.parametrize("rows, row, col", [
+        (3, 1, 2), (SOFTMAX_UNTILED_ROWS + 8, 198, 199),
+        (SOFTMAX_UNTILED_ROWS + 8, 130, 199), (SOFTMAX_UNTILED_ROWS + 8, 63, 64),
+    ])
+    def test_validate_mask_reports_future_before_empty_row(self, rows, row, col):
+        pos = np.arange(rows) * 2
+        mask = causal_mask(pos)
+        mask[0, 0] = False  # row 0 has no allowed key
+        mask[row, col] = True
+        with pytest.raises(InvalidMaskError, match="^mask allows attention to a future position$"):
+            validate_mask(mask, pos)
+        mask = causal_mask(pos)
+        mask[0, 0] = False
+        with pytest.raises(InvalidMaskError, match="^query row 0 has no allowed key$"):
+            validate_mask(mask, pos)
+
+    def test_validate_mask_checks_shape_first(self):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            validate_mask(np.ones((2, 3), dtype=bool), np.array([1, 0]))
+
+    @pytest.mark.parametrize("rows", [5, SOFTMAX_UNTILED_ROWS + 1, 300])
+    def test_validate_mask_returns_softmax_tiles(self, rows):
+        pos = np.arange(rows) + 3
+        mask = group_exclusive_mask(pos, pos[2::3], pos[1::3])
+        assert validate_mask(mask, pos) == softmax_tiles(mask)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(
+        st.sets(st.integers(0, 400), max_size=60).map(sorted),
+        st.lists(st.integers(0, 40), max_size=30),
+    ))
+    def test_causal_mask_is_the_position_formula(self, values):
+        pos = np.array(values, dtype=np.int64)
+        if np.all(pos[1:] > pos[:-1]):
+            assert np.array_equal(causal_mask(pos), pos[None, :] <= pos[:, None])
+        else:
+            with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+                causal_mask(pos)
 
     def test_cache_rejects_nonincreasing_positions(self):
         cache = KVCache(1, 2, 4)

@@ -18,6 +18,8 @@ from parvts.numerics import (
     rope_apply,
     rope_rotate_heads,
     seeded_uniform,
+    softmax_rows,
+    softmax_tiles,
 )
 
 
@@ -150,6 +152,91 @@ class TestMaskedSoftmax:
         assert np.isnan(out[3, :SOFTMAX_TILE_ROWS]).all()
         assert np.all(out[3, SOFTMAX_TILE_ROWS:] == 0.0)
         np.testing.assert_allclose(np.delete(out, 3, axis=0).sum(axis=1), 1.0, atol=1e-12)
+
+
+def _random_mask(gen, rows, cols, masking, density):
+    """A random, causal or causal-with-holes mask; rows may be left empty."""
+    if masking == "random":
+        return gen.random((rows, cols)) < density
+    # causal: row r sees the columns up to r + cols - rows
+    mask = np.arange(cols)[None, :] <= (np.arange(rows) + cols - rows)[:, None]
+    if masking == "causal_holes":
+        mask &= gen.random((rows, cols)) < density
+    return mask
+
+
+def _brute_force_tiles(mask):
+    """softmax_tiles one column at a time."""
+    rows, cols = mask.shape
+    size = rows if rows <= SOFTMAX_UNTILED_ROWS else SOFTMAX_TILE_ROWS
+    tiles = []
+    for start in range(0, rows, size):
+        stop = min(start + size, rows)
+        seen = [c for c in range(cols) if mask[start:stop, c].any()]
+        end = seen[-1] + 1 if seen else 0
+        blocked = [c for c in range(end) if not mask[start:stop, c].all()]
+        tiles.append((start, stop, blocked[0] if blocked else end, end))
+    return tiles
+
+
+class TestSoftmaxTiles:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 330),
+        st.integers(1, 340),
+        st.sampled_from(["random", "causal", "causal_holes"]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**16 - 1),
+    )
+    @example(SOFTMAX_UNTILED_ROWS, 200, "causal", 1.0, 0)
+    @example(SOFTMAX_UNTILED_ROWS + 1, 200, "causal_holes", 0.9, 1)
+    @example(300, 300, "random", 0.001, 2)
+    def test_match_brute_force(self, rows, cols, masking, density, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 2]))
+        mask = _random_mask(gen, rows, cols, masking, density)
+        tiles = softmax_tiles(mask)
+        assert tiles == _brute_force_tiles(mask)
+        assert all(isinstance(v, int) for tile in tiles for v in tile)
+
+    def test_no_rows_no_tiles(self):
+        assert softmax_tiles(np.zeros((0, 5), dtype=bool)) == []
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.integers(1, 330),
+        st.integers(1, 340),
+        st.sampled_from(["random", "causal", "causal_holes"]),
+        st.integers(0, 2**16 - 1),
+    )
+    def test_given_tiles_change_no_bit(self, rows, cols, masking, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 3]))
+        scores = gen.uniform(-20, 20, size=(rows, cols))
+        mask = _random_mask(gen, rows, cols, masking, 0.6)
+        mask[:, -1] = True  # keep every row feasible
+        out = masked_softmax_rows(scores, mask, tiles=softmax_tiles(mask))
+        assert np.array_equal(out, masked_softmax_rows(scores, mask))
+
+
+class TestUnmaskedSoftmax:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 260), st.integers(1, 300), st.floats(1e-3, 1e3), st.integers(0, 2**16 - 1)
+    )
+    @example(SOFTMAX_UNTILED_ROWS + 1, 64, 10.0, 0)
+    def test_equals_masked_softmax_under_all_true_mask(self, rows, cols, spread, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 4]))
+        scores = gen.uniform(-spread, spread, size=(rows, cols))
+        before = scores.copy()
+        expected = masked_softmax_rows(scores, np.ones((rows, cols), dtype=bool))
+        assert np.array_equal(softmax_rows(scores), expected)
+        assert np.array_equal(scores, before)
+        assert softmax_rows(scores, out=scores) is scores
+        assert np.array_equal(scores, expected)
+
+    def test_out_must_match_scores(self):
+        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32), [[0.0] * 3] * 2):
+            with pytest.raises(InvalidArgumentError):
+                softmax_rows(np.zeros((2, 3)), out=out)
 
 
 class TestRmsNorm:
