@@ -161,14 +161,19 @@ def _output(scores, out) -> np.ndarray:
 
 
 def rms_norm(x, gain) -> np.ndarray:
-    """x / sqrt(mean(x^2) + RMS_NORM_EPS), elementwise times gain."""
+    """x / sqrt(mean(x^2) + RMS_NORM_EPS), elementwise times gain.
+
+    x is a vector or a matrix of rows, each normalized on its own; a row's
+    bits equal the vector call's, since np.mean sums each row pairwise as it
+    sums a vector.
+    """
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
-    if x.shape != gain.shape or x.ndim != 1:
+    if x.ndim not in (1, 2) or gain.shape != x.shape[-1:]:
         raise InvalidArgumentError(
-            f"vector/gain length mismatch: {x.shape} vs {gain.shape}"
+            f"vector or rows/gain length mismatch: {x.shape} vs {gain.shape}"
         )
-    return x / np.sqrt(np.mean(x * x) + RMS_NORM_EPS) * gain
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_NORM_EPS) * gain
 
 
 def rms_norm_rows(x, gain) -> np.ndarray:

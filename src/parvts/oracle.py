@@ -1,10 +1,16 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately written in a different style from the main
-model and scheduler code: per-row loops, per-head loops, softmax over the
-gathered allowed entries. It builds only on the public numerics primitives,
-so agreement with the vectorized pipeline checks the orchestration, not the
-arithmetic it shares.
+model and scheduler code: one Python loop per query row, softmax over the
+row's gathered allowed keys, and the weighted values added one key at a time
+in key order. Within a row each step is one numpy call over all its keys and
+heads. The scores come from np.vecdot, which takes one dot product per
+(key, head) exactly as a per-key `query @ key` loop would, so the bits do not
+depend on how many keys or heads share the call; a matrix-vector product or
+einsum would sum in another order. The softmax runs over the C-contiguous
+(heads, keys) logits so that each head's sum is a contiguous pairwise sum.
+It builds only on the public numerics primitives, so agreement with the
+vectorized pipeline checks the orchestration, not the arithmetic it shares.
 """
 
 from __future__ import annotations
@@ -13,51 +19,35 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .model import Model, SequenceLayout, causal_mask, embed
-from .numerics import matmul, rms_norm, rope_apply
+from .numerics import matmul, rms_norm, rope_rotate_heads
 from .saliency import Partition
 from .scheduler import PrefillResult, ScheduleConfig, Strategy
 
 
-def _norm_rows(hidden: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    return np.stack([rms_norm(hidden[r], gain) for r in range(hidden.shape[0])])
-
-
 def reference_layer(model: Model, hidden, positions, mask, layer_index: int) -> np.ndarray:
-    """One transformer layer, computed row by row and head by head."""
+    """One transformer layer, with attention computed row by row."""
     cfg = model.config
     lw = model.layers[layer_index - 1]
     rows = hidden.shape[0]
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
 
-    normed = _norm_rows(hidden, lw.attn_gain)
-    q_full = matmul(normed, lw.w_q)
-    k_full = matmul(normed, lw.w_k)
-    v_full = matmul(normed, lw.w_v)
-    q = np.empty((rows, nh, dh))
-    k = np.empty((rows, nh, dh))
-    for r in range(rows):
-        for h in range(nh):
-            segment = slice(h * dh, (h + 1) * dh)
-            q[r, h] = rope_apply(q_full[r, segment], int(positions[r]))
-            k[r, h] = rope_apply(k_full[r, segment], int(positions[r]))
-    v = v_full.reshape(rows, nh, dh)
+    normed = rms_norm(hidden, lw.attn_gain)
+    q = rope_rotate_heads(matmul(normed, lw.w_q).reshape(rows, nh, dh), positions)
+    k = rope_rotate_heads(matmul(normed, lw.w_k).reshape(rows, nh, dh), positions)
+    v = matmul(normed, lw.w_v).reshape(rows, nh, dh)
 
     attn_out = np.empty((rows, nh * dh))
     for r in range(rows):
         allowed = np.flatnonzero(mask[r])
-        pieces = []
-        for h in range(nh):
-            query = q[r, h]
-            logits = np.array([float(query @ key) * scale for key in k[allowed, h]])
-            weights = np.exp(logits - logits.max())
-            weights /= weights.sum()
-            # the weighted values added one key at a time, in key order
-            pieces.append(np.cumsum(weights[:, None] * v[allowed, h], axis=0)[-1])
-        attn_out[r] = np.concatenate(pieces)
+        logits = np.ascontiguousarray((np.vecdot(k[allowed], q[r]) * scale).T)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        # the weighted values added one key at a time, in key order
+        attn_out[r] = np.cumsum(weights.T[:, :, None] * v[allowed], axis=0)[-1].ravel()
 
     h1 = hidden + matmul(attn_out, lw.w_o)
-    normed2 = _norm_rows(h1, lw.mlp_gain)
+    normed2 = rms_norm(h1, lw.mlp_gain)
     gate = matmul(normed2, lw.w_gate)
     up = matmul(normed2, lw.w_up)
     return h1 + matmul(gate / (1.0 + np.exp(-gate)) * up, lw.w_down)

@@ -35,7 +35,7 @@ LAYOUTS = (
 )
 
 
-def _update(sha, array):
+def update(sha, array):
     array = np.ascontiguousarray(array)
     sha.update(str((array.dtype.str, array.shape)).encode())
     sha.update(array.tobytes())
@@ -49,20 +49,20 @@ def digest() -> str:
             max_positions=system + visual + question + DECODE_STEPS + 1, master_seed=visual,
         )
         model, layout, ids, saliency = seeded_inputs(config, system, visual, question)
-        _update(sha, saliency.values)
+        update(sha, saliency.values)
         partition = partition_topk(saliency, keep)
         for strategy in Strategy:
             cfg = ScheduleConfig(strategy, n, joint_prefix_layers=j)
             result = run_strategy(model, ids, layout, partition, cfg)
-            _update(sha, result.hidden)
+            update(sha, result.hidden)
             for layer in range(config.num_layers):
                 for part in (result.cache.positions, result.cache.keys, result.cache.values):
-                    _update(sha, part(layer))
+                    update(sha, part(layer))
             token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
             position = layout.output_start
             for _ in range(DECODE_STEPS):
                 logits = decode_step(model, result.cache, token, position)
-                _update(sha, logits)
+                update(sha, logits)
                 token, position = int(np.argmax(logits)), position + 1
     return sha.hexdigest()
 

@@ -258,6 +258,24 @@ class TestRmsNorm:
         with pytest.raises(InvalidArgumentError):
             rms_norm(np.ones(3), np.ones(4))
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 300), st.integers(1, 130), st.integers(0, 2**16 - 1),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_matrix_rows_equal_vector_calls(self, rows, width, seed, scale):
+        rng = RngState(seed)
+        x = seeded_uniform(rng, rows, width, scale)
+        gain = seeded_uniform(rng, 1, width, 2.0)[0]
+        out = rms_norm(x, gain)
+        assert out.shape == x.shape
+        for r in range(rows):
+            np.testing.assert_array_equal(out[r], rms_norm(x[r], gain))
+
+    def test_matrix_gain_mismatch_and_three_dims_rejected(self):
+        for x, gain in ((np.ones((2, 3)), np.ones(4)), (np.ones((2, 3)), np.ones((2, 3))),
+                        (np.ones((2, 2, 3)), np.ones(3)), (np.float64(1.0), np.ones(1))):
+            with pytest.raises(InvalidArgumentError):
+                rms_norm(x, gain)
+
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 300), st.integers(1, 130), st.integers(0, 2**16 - 1),
            st.sampled_from([1e-3, 1.0, 1e3]))

@@ -1,3 +1,4 @@
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from parvts.model import build_model, causal_mask, decode_step, ModelConfig, SequenceLayout, embed
 from parvts.harness import seeded_inputs, synthesize_token_ids
-from parvts.numerics import SOFTMAX_UNTILED_ROWS
-from parvts.oracle import oracle_two_pass, reference_prefill, reference_run
+from parvts.numerics import SOFTMAX_UNTILED_ROWS, RngState, rms_norm, rope_apply, seeded_uniform
+from parvts.oracle import oracle_two_pass, reference_layer, reference_prefill, reference_run
 from parvts.saliency import partition_topk, toy_cls_attention
 from parvts.scheduler import (
     ScheduleConfig,
@@ -64,6 +65,79 @@ def test_reference_prefill_is_causal():
     extended = reference_prefill(model, np.concatenate([ids[:6], ids[6:8]]))
     # earlier rows are untouched by appended tokens
     assert np.max(np.abs(extended[:6] - base)) == 0.0
+
+
+def looped_layer(model, hidden, positions, mask, layer_index):
+    """reference_layer as a loop over every row, head and key: a rope_apply per
+    (row, head), a scalar `query @ key` per score, and a vector rms_norm per row."""
+    cfg = model.config
+    lw = model.layers[layer_index - 1]
+    rows = hidden.shape[0]
+    nh, dh = cfg.num_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(dh)
+
+    def norm_rows(x, gain):
+        return np.stack([rms_norm(x[r], gain) for r in range(x.shape[0])])
+
+    normed = norm_rows(hidden, lw.attn_gain)
+    q_full, k_full = normed @ lw.w_q, normed @ lw.w_k
+    v = (normed @ lw.w_v).reshape(rows, nh, dh)
+    q = np.empty((rows, nh, dh))
+    k = np.empty((rows, nh, dh))
+    for r in range(rows):
+        for h in range(nh):
+            segment = slice(h * dh, (h + 1) * dh)
+            q[r, h] = rope_apply(q_full[r, segment], int(positions[r]))
+            k[r, h] = rope_apply(k_full[r, segment], int(positions[r]))
+
+    attn_out = np.empty((rows, nh * dh))
+    for r in range(rows):
+        allowed = np.flatnonzero(mask[r])
+        pieces = []
+        for h in range(nh):
+            query = q[r, h]
+            logits = np.array([float(query @ key) * scale for key in k[allowed, h]])
+            weights = np.exp(logits - logits.max())
+            weights /= weights.sum()
+            pieces.append(np.cumsum(weights[:, None] * v[allowed, h], axis=0)[-1])
+        attn_out[r] = np.concatenate(pieces)
+
+    h1 = hidden + attn_out @ lw.w_o
+    normed2 = norm_rows(h1, lw.mlp_gain)
+    gate, up = normed2 @ lw.w_gate, normed2 @ lw.w_up
+    return h1 + (gate / (1.0 + np.exp(-gate)) * up) @ lw.w_down
+
+
+@functools.cache
+def looped_model(heads, head_dim):
+    return build_model(ModelConfig(1, heads * head_dim, heads, 16, 7, 4096, heads + head_dim))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    heads=st.integers(1, 8),
+    head_dim=st.sampled_from([2, 8, 16, 32]),
+    rows=st.integers(1, 260),
+    density=st.sampled_from([0.05, 0.5, 0.95]),
+    single=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16 - 1),
+)
+@example(heads=8, head_dim=8, rows=260, density=0.5, single=0.3, seed=1)
+@example(heads=1, head_dim=32, rows=3, density=0.5, single=1.0, seed=2)
+def test_reference_layer_equals_looped_layer_bits(heads, head_dim, rows, density, single, seed):
+    """Causal masks with holes, some rows with a single allowed key."""
+    model = looped_model(heads, head_dim)
+    gen = np.random.default_rng(seed)
+    positions = np.sort(gen.choice(model.config.max_positions, rows, replace=False))
+    mask = causal_mask(positions) & (gen.random((rows, rows)) < density)
+    for r in np.flatnonzero((gen.random(rows) < single) | ~mask.any(axis=1)):
+        mask[r] = False
+        mask[r, gen.integers(0, r + 1)] = True
+    hidden = seeded_uniform(RngState(seed), rows, model.config.hidden_dim, 1.0)
+    np.testing.assert_array_equal(
+        reference_layer(model, hidden, positions, mask, 1),
+        looped_layer(model, hidden, positions, mask, 1),
+    )
 
 
 # Staged references for the strategies oracle_two_pass does not mirror. The
