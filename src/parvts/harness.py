@@ -11,7 +11,7 @@ statement of those inputs and of where decoding starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -125,7 +125,8 @@ class StrategyReport:
     agreement_vs_vanilla: float
     max_divergence_vs_vanilla: float
     masked_batch_gap: float | None = None
-    max_divergence_vs_oracle: float | None = None
+    # computed but never serialized; ROADMAP item 5 removes the oracle call and this field
+    max_divergence_vs_oracle: float | None = field(default=None, metadata={"serialized": False})
 
 
 @dataclass
@@ -307,6 +308,8 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
@@ -318,23 +321,8 @@ def serialize_report(report: RunReport) -> str:
     lines.append("}")
     for block in report.blocks:
         lines.append("strategy_block {")
-        lines.append(f"  strategy = {block.strategy}")
-        lines.append(f"  n = {block.n}")
-        lines.append(f"  alpha = {_fmt(block.alpha)}")
-        lines.append(f"  beta = {_fmt(block.beta)}")
-        lines.append(f"  tokens_subject = {block.tokens_subject}")
-        lines.append(f"  tokens_nonsubject = {block.tokens_nonsubject}")
-        lines.append(f"  prefill_flops = {_fmt(block.prefill_flops)}")
-        lines.append(f"  decoding_flops = {_fmt(block.decoding_flops)}")
-        lines.append(f"  rho_prefill = {_fmt(block.rho_prefill)}")
-        lines.append(f"  rho_decoding = {_fmt(block.rho_decoding)}")
-        lines.append(
-            "  cache_entries_per_layer = "
-            + ",".join(str(c) for c in block.cache_entries_per_layer)
-        )
-        lines.append("  decoded_ids = " + ",".join(str(t) for t in block.decoded_ids))
-        lines.append(f"  agreement_vs_vanilla = {_fmt(block.agreement_vs_vanilla)}")
-        lines.append(f"  max_divergence_vs_vanilla = {_fmt(block.max_divergence_vs_vanilla)}")
-        lines.append(f"  masked_batch_gap = {_fmt(block.masked_batch_gap)}")
+        for f in fields(StrategyReport):
+            if f.metadata.get("serialized", True):
+                lines.append(f"  {f.name} = {_fmt(getattr(block, f.name))}")
         lines.append("}")
     return "\n".join(lines) + "\n"

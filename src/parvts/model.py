@@ -283,8 +283,6 @@ def embed(model: Model, token_ids) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= model.config.vocab_size):
         raise InvalidArgumentError("token id out of vocabulary range")
-    if ids.size == 0:
-        return np.empty((0, model.config.hidden_dim), dtype=np.float64)
     return model.embedding[ids].copy()
 
 
@@ -354,11 +352,10 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     """Per-head softmax(q k^T / sqrt(head_dim)) v under `mask` (None allows every key).
 
     q is (rows, heads, head_dim); keys and values are (keys, heads, head_dim);
-    `tiles` are softmax_tiles(mask) (None without a mask). Heads go through
-    the softmax in groups of ceil(heads / rows) with their score rows stacked,
-    so a one-row decode step makes one softmax_rows call per layer, with no
-    mask to build or check, while a prefill keeps one rows x keys score matrix
-    per head.
+    `tiles` are softmax_tiles(mask) (None without a mask). Without a mask
+    (a decode step) every head goes through one softmax_rows call with its
+    score rows stacked, so the step has no mask to build or check; with a
+    mask each head keeps its own rows x keys score matrix and softmax call.
     A group's scores, and then its AV products, come from one stacked
     np.matmul over its heads, because at decode sizes (d = 64, one row)
     numpy's per-call dispatch costs more than the products. A stacked matmul
@@ -370,28 +367,24 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     rows, heads, head_dim = q.shape
     num_keys = keys.shape[0]
     scale = 1.0 / np.sqrt(head_dim)
-    group = -(-heads // rows)
-    if mask is not None and group > 1:
-        mask = np.tile(mask, (group, 1))
-        tiles = softmax_tiles(mask)
+    group = heads if mask is None else 1
     # head-major views: (heads, rows, head_dim), (heads, head_dim, keys), (heads, keys, head_dim)
     q_heads = q.transpose(1, 0, 2)
     k_heads = keys.transpose(1, 2, 0)
     v_heads = values.transpose(1, 0, 2)
     scores = np.empty((group, rows, num_keys))
     ctx = np.empty((heads, rows, head_dim))
+    block = scores.reshape(group * rows, num_keys)
     for first in range(0, heads, group):
-        last = min(first + group, heads)
-        stacked = scores[: last - first]
-        np.matmul(q_heads[first:last], k_heads[first:last], out=stacked)
-        block = stacked.reshape((last - first) * rows, num_keys)
+        members = slice(first, first + group)
+        np.matmul(q_heads[members], k_heads[members], out=scores)
         # one contiguous multiply beats scaling each tile's columns :end
         block *= scale
         if mask is None:
             softmax_rows(block, out=block)
         else:
-            masked_softmax_rows(block, mask[: block.shape[0]], out=block, tiles=tiles)
-        np.matmul(stacked, v_heads[first:last], out=ctx[first:last])
+            masked_softmax_rows(block, mask, out=block, tiles=tiles)
+        np.matmul(scores, v_heads[members], out=ctx[members])
     return ctx.transpose(1, 0, 2)
 
 

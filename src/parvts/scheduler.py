@@ -148,15 +148,6 @@ def _check_inputs(token_ids, layout, partition=None):
     return ids
 
 
-def _collapsed(partition: Partition):
-    """The visual group a ParVTS run is left with when the other is empty, else None."""
-    if partition.keep_count == 0:
-        return "nonsubject-only"
-    if partition.nonsubject_indices.size == 0:
-        return "subject-only"
-    return None
-
-
 def _causal_phase(model, hidden, positions, layer_range, cache, counts, phase):
     """Run `layer_range` over `positions` under a causal mask, caching every layer."""
     hidden = run_layers(model, hidden, positions, layer_range, causal_mask(positions), cache)
@@ -201,6 +192,21 @@ def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResul
     return PrefillResult(hidden, cache, positions, counts, diagnostics={})
 
 
+def _migrate(model, hidden, positions, non_pos, num_q, n, cache, counts, diagnostics):
+    """The migration step: drop the non-subject rows at layer n and run n+1..N.
+
+    Their cache entries go too, and the question rows and the other retained
+    rows at layer n are recorded in `diagnostics`.
+    """
+    keep = ~np.isin(positions, non_pos)
+    positions, hidden = positions[keep], hidden[keep]
+    if non_pos.size:
+        cache = cache.drop_positions(non_pos)
+    diagnostics.update(_at_migration(hidden, num_q))
+    hidden = _continuation(model, hidden, positions, n, cache, counts)
+    return PrefillResult(hidden, cache, positions, counts, diagnostics)
+
+
 def _run_parvts_batch(
     model: Model,
     ids: np.ndarray,
@@ -211,9 +217,13 @@ def _run_parvts_batch(
     """Reference two-branch schedule: joint prefix, parallel branches, fusion.
 
     Branch inputs are rows of the joint-prefix output (fresh embeddings when
-    the joint prefix is empty). An empty visual group collapses the run to a
-    single branch rather than raising.
+    the joint prefix is empty). With an empty visual group the one branch is
+    every row under a causal mask; that is the masked schedule, which then runs.
     """
+    if partition.keep_count == 0 or partition.nonsubject_indices.size == 0:
+        result = _run_parvts_masked(model, ids, layout, partition, cfg)
+        result.diagnostics["system_identity_max_diff"] = []
+        return result
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
     sub_pos = subject_positions(layout, partition)
@@ -228,42 +238,23 @@ def _run_parvts_batch(
 
     branch_sub_pos = np.concatenate([sys_pos, sub_pos, q_pos])
     branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
-    collapsed = _collapsed(partition)
+    h_sub = hidden[branch_sub_pos]
+    h_non = hidden[branch_non_pos]
+    mask_sub = causal_mask(branch_sub_pos)
+    mask_non = causal_mask(branch_non_pos)
     identity_diffs: list[float] = []
-
-    if collapsed is None:
-        h_sub = hidden[branch_sub_pos]
-        h_non = hidden[branch_non_pos]
-        mask_sub = causal_mask(branch_sub_pos)
-        mask_non = causal_mask(branch_non_pos)
-        for layer in range(j + 1, n + 1):
-            h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
-            h_sub = run_layers(model, h_sub, branch_sub_pos, (layer, layer), mask_sub, cache)
-            if num_sys:
-                identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys]))))
-        counts["branch_nonsubject"] = int(branch_non_pos.size)
-        counts["branch_subject"] = int(branch_sub_pos.size)
-        retained = h_sub.copy()
-        retained[num_sys + sub_pos.size :] = fuse_question_states(
-            h_non[num_sys + non_pos.size :], h_sub[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
-        )
-    else:
-        sole_pos = branch_sub_pos if collapsed == "subject-only" else branch_non_pos
-        retained = _causal_phase(
-            model, hidden[sole_pos], sole_pos, (j + 1, n), cache, counts, "single_branch"
-        )
-        if collapsed == "nonsubject-only":
-            # visual rows of the sole branch are non-subject: drop them now
-            retained = retained[~np.isin(sole_pos, non_pos)]
-
+    for layer in range(j + 1, n + 1):
+        h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
+        h_sub = run_layers(model, h_sub, branch_sub_pos, (layer, layer), mask_sub, cache)
+        if num_sys:
+            identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys]))))
+    counts["branch_nonsubject"] = int(branch_non_pos.size)
+    counts["branch_subject"] = int(branch_sub_pos.size)
+    h_sub[num_sys + sub_pos.size :] = fuse_question_states(
+        h_non[num_sys + non_pos.size :], h_sub[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
+    )
     diagnostics = {"system_identity_max_diff": identity_diffs}
-    diagnostics.update(_at_migration(retained, num_q))
-    keep_pos = np.concatenate([sys_pos, sub_pos, q_pos])
-    hidden_out = _continuation(model, retained, keep_pos, n, cache, counts)
-
-    if non_pos.size:
-        cache = cache.drop_positions(non_pos)
-    return PrefillResult(hidden_out, cache, keep_pos, counts, diagnostics)
+    return _migrate(model, h_sub, branch_sub_pos, non_pos, num_q, n, cache, counts, diagnostics)
 
 
 def _run_parvts_masked(
@@ -278,6 +269,7 @@ def _run_parvts_masked(
     Question rows attend to both visual groups inside the masked layers, so
     no fusion step exists; the two groups never see each other there, and at
     the migration layer the non-subject rows and their cache entries vanish.
+    With an empty visual group the mask is the causal mask.
     """
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
@@ -292,16 +284,7 @@ def _run_parvts_masked(
         exclusive = group_exclusive_mask(full_pos, sub_pos, non_pos)
         hidden = run_layers(model, hidden, full_pos, (j + 1, n), exclusive, cache)
         counts["exclusive_mask"] = int(ids.size)
-
-    keep = ~np.isin(full_pos, non_pos)
-    keep_pos = full_pos[keep]
-    hidden = hidden[keep]
-    if non_pos.size:
-        cache = cache.drop_positions(non_pos)
-
-    diagnostics = _at_migration(hidden, num_q)
-    hidden = _continuation(model, hidden, keep_pos, n, cache, counts)
-    return PrefillResult(hidden, cache, keep_pos, counts, diagnostics)
+    return _migrate(model, hidden, full_pos, non_pos, num_q, n, cache, counts, {})
 
 
 def _run_sequential(

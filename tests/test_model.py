@@ -233,11 +233,9 @@ def _per_head_attention(q, keys, values, mask, tiles):
     """
     rows, heads, head_dim = q.shape
     scale = 1.0 / np.sqrt(head_dim)
-    group = -(-heads // max(rows, 1))
+    group = heads if mask is None else 1
     if mask is None:
         mask = np.ones((group * rows, keys.shape[0]), dtype=bool)
-    elif group > 1:
-        mask = np.tile(mask, (group, 1))
     scores = np.empty((group * rows, keys.shape[0]))
     ctx = np.empty(q.shape)
     for first in range(0, heads, group):
@@ -253,7 +251,7 @@ def _per_head_attention(q, keys, values, mask, tiles):
 
 
 class TestAttentionGrouping:
-    """Heads share a softmax call in groups of ceil(heads / rows)."""
+    """A decode step puts every head through one softmax call; a masked call, one per head."""
 
     @pytest.mark.parametrize("heads", [4, 2])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
@@ -273,7 +271,7 @@ class TestAttentionGrouping:
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
     def test_stacked_heads_match_per_head_loop(self, monkeypatch, heads, rows, masking):
-        # 8 heads over 3 rows make groups of 3, 3 and a partial 2
+        # the decode steps stack 8, 4 or 2 heads into one softmax call
         model = build_model(small_config(hidden_dim=4 * heads, num_heads=heads, num_layers=3))
         pos = np.array([0, 2, 3, 5, 7])[:rows]
         mask = causal_mask(pos)
@@ -308,13 +306,13 @@ class TestAttentionGrouping:
         assert calls == [(4, 6)] * 3
         assert masked_calls == []
 
-    @pytest.mark.parametrize("rows, per_layer", [(1, 1), (2, 2), (3, 2), (4, 4), (6, 4)])
-    def test_run_layers_calls_per_layer(self, monkeypatch, rows, per_layer):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6])
+    def test_run_layers_calls_per_layer(self, monkeypatch, rows):
         model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
         pos = np.arange(rows)
         calls = self._count_softmax_calls(monkeypatch)
         run_layers(model, embed(model, np.arange(rows) + 1), pos, (1, 3), causal_mask(pos))
-        assert len(calls) == per_layer * 3
+        assert calls == [(rows, rows)] * (4 * 3)  # one call per head per layer
 
 
 def _two_pass_softmax(scores, mask, out=None, tiles=None):

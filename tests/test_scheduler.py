@@ -150,6 +150,30 @@ class TestParvtsBatch:
         assert result.positions.size == 4 + 6
         assert result.cache.entry_counts() == [10] * 4
 
+    @pytest.mark.parametrize("keep", [0, 16])
+    @pytest.mark.parametrize("n, j", [(1, 0), (2, 1), (3, 3), (4, 2)])
+    def test_empty_group_is_a_causal_run_with_a_drop_at_n(self, keep, n, j):
+        # with one group empty, both ParVTS modes are: every row causal
+        # through layer n, then drop the non-subject rows and continue
+        model, layout, ids, partition = make_setup(keep=keep)
+        pos = np.arange(layout.total_prefill)
+        hidden = run_layers(model, embed(model, ids), pos, (1, n), causal_mask(pos))
+        kept = ~np.isin(pos, nonsubject_positions(layout, partition))
+        expected = run_layers(
+            model, hidden[kept], pos[kept], (n + 1, 4), causal_mask(pos[kept])
+        )
+        for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
+            cfg = ScheduleConfig(strategy, n, 0.5, 0.5, j)
+            result = run_strategy(model, ids, layout, partition, cfg)
+            assert np.array_equal(result.hidden, expected)
+            assert np.array_equal(result.positions, pos[kept])
+            assert result.cache.entry_counts() == [int(kept.sum())] * 4
+            np.testing.assert_array_equal(
+                result.diagnostics["question_at_migration"], hidden[-6:]
+            )
+            diffs = result.diagnostics.get("system_identity_max_diff")
+            assert diffs == ([] if strategy is Strategy.PARVTS_BATCH else None)
+
 
 class TestParvtsMasked:
     def masked_cfg(self, n, j=1):
