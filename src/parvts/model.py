@@ -16,9 +16,11 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidMaskError
 from .numerics import (
     RngState,
+    _rms_norm_rows,
     masked_softmax_rows,
     rms_norm_rows,
     rope_rotate_heads,
+    rope_tables,
     seeded_uniform,
     softmax_rows,
     softmax_tiles,
@@ -111,6 +113,14 @@ class KVCache:
     twice the capacity (the first append allocates exactly what it needs), so
     a view taken earlier keeps its shape and contents. Positions within a
     layer are strictly increasing; appends must respect that order.
+
+    Keys and values are (capacity, heads, head_dim) arrays in head-major
+    memory: each is the transposed view of a (heads, capacity, head_dim)
+    buffer (`_buffer`), so every head's rows form one contiguous block and a
+    decode step's score and AV products read each head's block in one
+    sweep. Only the strides differ from row-major storage: a product makes
+    the same BLAS call on the same values with another leading dimension,
+    so no output bit depends on the layout.
     """
 
     def __init__(self, num_layers: int, num_heads: int, head_dim: int):
@@ -118,28 +128,36 @@ class KVCache:
         self.num_heads = num_heads
         self.head_dim = head_dim
         self._positions = [np.empty(0, dtype=np.int64) for _ in range(num_layers)]
-        self._keys = [np.empty((0, num_heads, head_dim)) for _ in range(num_layers)]
-        self._values = [np.empty((0, num_heads, head_dim)) for _ in range(num_layers)]
+        self._keys = [self._buffer(0) for _ in range(num_layers)]
+        self._values = [self._buffer(0) for _ in range(num_layers)]
         self._lengths = [0] * num_layers
+
+    def _buffer(self, capacity: int) -> np.ndarray:
+        """Uninitialised (capacity, heads, head_dim) view of head-major memory."""
+        return np.empty((self.num_heads, capacity, self.head_dim)).transpose(1, 0, 2)
 
     def _reserve(self, layer: int, rows: int):
         capacity = self._positions[layer].shape[0]
         if rows <= capacity:
             return
         length = self._lengths[layer]
-        for store in (self._positions, self._keys, self._values):
-            old = store[layer]
-            grown = np.empty((max(rows, 2 * capacity),) + old.shape[1:], dtype=old.dtype)
-            grown[:length] = old[:length]
+        capacity = max(rows, 2 * capacity)
+        positions = np.empty(capacity, dtype=np.int64)
+        positions[:length] = self._positions[layer][:length]
+        self._positions[layer] = positions
+        for store in (self._keys, self._values):
+            grown = self._buffer(capacity)
+            grown[:length] = store[layer][:length]
             store[layer] = grown
 
     def append(self, layer: int, positions, keys, values):
         positions = np.asarray(positions, dtype=np.int64)
         length = self._lengths[layer]
         end = length + positions.size
+        # a decode step appends one row, which needs only the scalar check
         if positions.size and (
             (length and positions[0] <= self._positions[layer][length - 1])
-            or np.any(positions[1:] <= positions[:-1])
+            or (positions.size > 1 and np.any(positions[1:] <= positions[:-1]))
         ):
             raise InvalidArgumentError(
                 f"cache positions at layer {layer} must stay strictly increasing"
@@ -175,16 +193,21 @@ class KVCache:
         return np.unique(np.concatenate(list(map(self.positions, range(self.num_layers)))))
 
     def drop_positions(self, drop) -> "KVCache":
-        """Copy of the cache with every entry at a dropped position removed."""
+        """Exact-size copy of the cache with every entry at a dropped position removed."""
         drop = np.asarray(drop, dtype=np.int64)
         out = KVCache(self.num_layers, self.num_heads, self.head_dim)
         for layer in range(self.num_layers):
             pos = self.positions(layer)
-            keep = ~np.isin(pos, drop)
-            out._positions[layer] = pos[keep]
-            out._keys[layer] = self.keys(layer)[keep]
-            out._values[layer] = self.values(layer)[keep]
-            out._lengths[layer] = out._positions[layer].size
+            kept = np.flatnonzero(~np.isin(pos, drop))
+            out._positions[layer] = pos[kept]
+            for source, target in ((self._keys, out._keys), (self._values, out._values)):
+                target[layer] = out._buffer(kept.size)
+                # gathered head by head straight into the new buffer: with its
+                # default mode="raise" np.take fills a temporary copy first, and
+                # the indices are in range, so "clip" changes nothing else
+                np.take(source[layer].transpose(1, 0, 2), kept, axis=1,
+                        out=target[layer].transpose(1, 0, 2), mode="clip")
+            out._lengths[layer] = kept.size
         return out
 
     def check_invariants(self, pruned=()):
@@ -362,7 +385,10 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     still makes one BLAS call per head, with the shape and strides of a
     per-head call, and the softmax runs in place on the score buffer. Query
     rows are never split, so neither the grouping, the stacking nor the
-    softmax's row tiles change a bit.
+    softmax's row tiles change a bit. A decode step's keys and values are
+    KVCache views of head-major memory, so each head's K and V is one
+    contiguous block; the BLAS call is the one row-major storage would make
+    with another leading dimension, and its bits are the same.
     """
     rows, heads, head_dim = q.shape
     num_keys = keys.shape[0]
@@ -393,24 +419,27 @@ def _layer(
     layer: int,
     h: np.ndarray,
     positions: np.ndarray,
+    tables,
     mask,
     tiles,
     cache: KVCache | None,
 ) -> np.ndarray:
     """One decoder block (0-based `layer`) over the rows of `h`.
 
-    The rows' keys and values are appended to `cache` when one is given. With
-    a `mask` (and its `tiles`, as validate_mask returns them) the rows attend
-    among themselves under it; without one they attend to every entry the
-    cache holds at this layer, their own included.
+    `tables` is rope_tables(positions, head_dim). The rows' keys and values
+    are appended to `cache` when one is given. With a `mask` (and its
+    `tiles`, as validate_mask returns them) the rows attend among themselves
+    under it; without one they attend to every entry the cache holds at this
+    layer, their own included.
     """
     lw = model.layers[layer]
     heads = model.config.num_heads
-    normed = rms_norm_rows(h, lw.attn_gain)
+    normed = _rms_norm_rows(h, lw.attn_gain)
     # one rotary call covers q and k, stacked along the head axis
     qk = rope_rotate_heads(
         _split_heads(np.concatenate([normed @ lw.w_q, normed @ lw.w_k], axis=1), 2 * heads),
         positions,
+        tables,
     )
     q, k = qk[:, :heads], qk[:, heads:]
     v = _split_heads(normed @ lw.w_v, heads)
@@ -419,7 +448,7 @@ def _layer(
     if mask is None:
         k, v = cache.keys(layer), cache.values(layer)
     h = h + _merge_heads(_attention(q, k, v, mask, tiles)) @ lw.w_o
-    normed = rms_norm_rows(h, lw.mlp_gain)
+    normed = _rms_norm_rows(h, lw.mlp_gain)
     return h + (_silu(normed @ lw.w_gate) * (normed @ lw.w_up)) @ lw.w_down
 
 
@@ -454,9 +483,11 @@ def run_layers(
         raise InvalidArgumentError("hidden rows must match positions")
     tiles = validate_mask(mask, positions)
     mask = np.asarray(mask, dtype=bool)
+    hidden = np.asarray(hidden, dtype=np.float64)  # the layers' RMS norms skip this check
+    tables = rope_tables(positions, cfg.head_dim)
 
     for layer in range(first - 1, last):
-        hidden = _layer(model, layer, hidden, positions, mask, tiles, cache)
+        hidden = _layer(model, layer, hidden, positions, tables, mask, tiles, cache)
     return hidden
 
 
@@ -484,8 +515,9 @@ def decode_step(model: Model, cache: KVCache, token_id: int, position: int) -> n
 
     h = embed(model, [token_id])
     pos_arr = np.array([position], dtype=np.int64)
+    tables = rope_tables(pos_arr, cfg.head_dim)
     for layer in range(cfg.num_layers):
-        h = _layer(model, layer, h, pos_arr, None, None, cache)
+        h = _layer(model, layer, h, pos_arr, tables, None, None, cache)
     return output_logits(model, h)[0]
 
 

@@ -182,6 +182,11 @@ def rms_norm_rows(x, gain) -> np.ndarray:
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape != (x.shape[1],):
         raise InvalidArgumentError("gain length does not match row width")
+    return _rms_norm_rows(x, gain)
+
+
+def _rms_norm_rows(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """rms_norm_rows without its checks: x a float64 matrix, gain its row width."""
     # np.mean's own sum and division, without its Python-level wrapper
     mean_sq = np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1]
     scale = 1.0 / np.sqrt(mean_sq + RMS_NORM_EPS)
@@ -215,17 +220,27 @@ def rope_apply(vec, position: int) -> np.ndarray:
     return out
 
 
-def rope_rotate_heads(x, positions) -> np.ndarray:
+def rope_tables(positions, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each row's rotary angles, each shaped (rows, 1, head_dim / 2).
+
+    rope_rotate_heads computes them when it is not given them; a caller that
+    rotates several arrays at the same positions computes them once.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    angles = positions[:, None, None] * _rope_freqs(head_dim)[None, None, :]
+    return np.cos(angles), np.sin(angles)
+
+
+def rope_rotate_heads(x, positions, tables=None) -> np.ndarray:
     """Vectorized rope_apply over an (rows, heads, head_dim) array.
 
-    positions holds one original token index per row.
+    positions holds one original token index per row; `tables`, if given, is
+    rope_tables(positions, head_dim), and the result is the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] % 2 != 0:
         raise InvalidArgumentError("expected (rows, heads, even head_dim)")
-    positions = np.asarray(positions, dtype=np.float64)
-    angles = positions[:, None, None] * _rope_freqs(x.shape[2])[None, None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = rope_tables(positions, x.shape[2]) if tables is None else tables
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin

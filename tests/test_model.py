@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,18 @@ from parvts.model import (
     validate_mask,
 )
 import parvts.model
-from parvts.harness import synthesize_token_ids
+import parvts.numerics
+from parvts.harness import seeded_inputs, synthesize_token_ids
 from parvts.numerics import SOFTMAX_UNTILED_ROWS, softmax_tiles
 from parvts.oracle import reference_prefill, reference_run
-from parvts.scheduler import group_exclusive_mask, run_vanilla
+from parvts.saliency import partition_topk
+from parvts.scheduler import (
+    ScheduleConfig,
+    Strategy,
+    group_exclusive_mask,
+    run_strategy,
+    run_vanilla,
+)
 
 
 def small_config(**overrides):
@@ -251,7 +261,10 @@ def _per_head_attention(q, keys, values, mask, tiles):
 
 
 class TestAttentionGrouping:
-    """A decode step puts every head through one softmax call; a masked call, one per head."""
+    """A decode step puts every head through one softmax call; a masked call, one per head.
+
+    Each call computes the rotary tables once and rotates and appends once per layer.
+    """
 
     @pytest.mark.parametrize("heads", [4, 2])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
@@ -284,15 +297,16 @@ class TestAttentionGrouping:
         assert all(np.array_equal(a, b) for a, b in zip(stacked, per_head))
 
     @staticmethod
-    def _count_softmax_calls(monkeypatch, name="masked_softmax_rows"):
+    def _count_calls(monkeypatch, name="masked_softmax_rows", owner=parvts.model, arg=0):
+        """The shape of positional argument `arg` of each call to owner.name."""
         calls = []
-        inner = getattr(parvts.model, name)
+        inner = getattr(owner, name)
 
-        def counting(scores, *args, **kwargs):
-            calls.append(np.shape(scores))
-            return inner(scores, *args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[arg]))
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(parvts.model, name, counting)
+        monkeypatch.setattr(owner, name, counting)
         return calls
 
     def test_decode_step_makes_one_call_per_layer(self, monkeypatch):
@@ -300,8 +314,8 @@ class TestAttentionGrouping:
         cache = model.new_cache()
         pos = np.arange(5)
         run_layers(model, embed(model, [1, 2, 3, 4, 5]), pos, (1, 3), causal_mask(pos), cache)
-        calls = self._count_softmax_calls(monkeypatch, "softmax_rows")
-        masked_calls = self._count_softmax_calls(monkeypatch)
+        calls = self._count_calls(monkeypatch, "softmax_rows")
+        masked_calls = self._count_calls(monkeypatch)
         decode_step(model, cache, 6, 5)
         assert calls == [(4, 6)] * 3
         assert masked_calls == []
@@ -310,9 +324,27 @@ class TestAttentionGrouping:
     def test_run_layers_calls_per_layer(self, monkeypatch, rows):
         model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
         pos = np.arange(rows)
-        calls = self._count_softmax_calls(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         run_layers(model, embed(model, np.arange(rows) + 1), pos, (1, 3), causal_mask(pos))
         assert calls == [(rows, rows)] * (4 * 3)  # one call per head per layer
+
+    def test_rotary_tables_once_per_call(self, monkeypatch):
+        model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
+        cache = model.new_cache()
+        tables = self._count_calls(monkeypatch, "rope_tables")
+        # a rotation given no tables computes its own through the numerics binding
+        own_tables = self._count_calls(monkeypatch, "rope_tables", parvts.numerics)
+        rotations = self._count_calls(monkeypatch, "rope_rotate_heads")
+        appends = self._count_calls(monkeypatch, "append", KVCache, arg=2)
+        pos = np.arange(5)
+        run_layers(model, embed(model, [1, 2, 3, 4, 5]), pos, (1, 3), causal_mask(pos), cache)
+        # q and k of the 4 heads go through one rotation
+        assert tables == [(5,)] and rotations == [(5, 8, 4)] * 3
+        assert appends == [(5,)] * 3
+        del tables[:], rotations[:], appends[:]
+        decode_step(model, cache, 6, 5)
+        assert tables == [(1,)] and rotations == [(1, 8, 4)] * 3
+        assert appends == [(1,)] * 3 and own_tables == []
 
 
 def _two_pass_softmax(scores, mask, out=None, tiles=None):
@@ -537,6 +569,17 @@ class TestCacheStorage:
             empty.append(0, [9, 7], kv, kv)
         assert empty.entry_counts() == [0]
 
+    def test_one_row_append_rejects_position_not_after_last_cached(self):
+        cache = _filled_cache([2, 5, 6])  # capacity 4, one spare row
+        stores = (cache._positions, cache._keys, cache._values)
+        before = [store[0].tobytes() for store in stores]
+        kv = np.zeros((1, 2, 4))
+        for position in (6, 3):
+            with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+                cache.append(0, [position], kv, kv)
+        assert cache.entry_counts() == [3]
+        assert [store[0].tobytes() for store in stores] == before
+
     def test_append_rejects_rows_out_of_step_with_positions(self):
         cache = KVCache(1, 2, 4)
         with pytest.raises(InvalidArgumentError, match="shape"):
@@ -556,3 +599,89 @@ class TestCacheStorage:
         cache._values[1] = cache._values[1][:2]
         with pytest.raises(InvalidArgumentError, match="layer 1: keys/values rows differ"):
             cache.check_invariants()
+
+
+def _row_major_buffer(cache, capacity):
+    return np.empty((capacity, cache.num_heads, cache.head_dim))
+
+
+class TestCacheLayout:
+    """Keys and values live in head-major memory, and no output bit depends on it."""
+
+    STEPS = 40
+
+    @staticmethod
+    def _assert_head_major(cache, layer=0):
+        for kv in (cache.keys(layer), cache.values(layer)):
+            assert kv.shape == (cache.entry_counts()[layer], cache.num_heads, cache.head_dim)
+            assert all(kv[:, head].flags.c_contiguous for head in range(cache.num_heads))
+
+    def test_heads_stay_contiguous_through_append_growth_and_drop(self):
+        cache = KVCache(1, 3, 4)
+        kv = np.arange(5 * 12, dtype=np.float64).reshape(5, 3, 4)
+        cache.append(0, np.arange(5), kv, -kv)
+        self._assert_head_major(cache)
+        for p in range(5, 12):  # grows capacity 5 -> 10 -> 20
+            row = np.full((1, 3, 4), float(p))
+            cache.append(0, [p], row, -row)
+        assert cache._keys[0].shape[0] == 20
+        self._assert_head_major(cache)
+        keys, values = cache.keys(0).copy(), cache.values(0).copy()
+        pruned = cache.drop_positions([0, 3, 7])
+        kept = [1, 2, 4, 5, 6, 8, 9, 10, 11]
+        assert pruned.positions(0).tolist() == kept
+        self._assert_head_major(pruned)
+        np.testing.assert_array_equal(pruned.keys(0), keys[kept])
+        np.testing.assert_array_equal(pruned.values(0), values[kept])
+
+    def test_drop_gathers_into_exact_size_buffers(self):
+        rows, heads, head_dim = 2048, 4, 32
+        cache = KVCache(1, heads, head_dim)
+        kv = np.ones((rows, heads, head_dim))
+        cache.append(0, np.arange(rows), kv, kv)
+        drop = np.arange(0, rows, 4)
+        kept_bytes = (rows - drop.size) * heads * head_dim * 8
+        tracemalloc.start()
+        try:
+            pruned = cache.drop_positions(drop)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pruned._keys[0].shape[0] == pruned._values[0].shape[0] == rows - drop.size
+        # the new keys and values are nearly all that is left; gathering the
+        # kept rows into a temporary first would lift the peak by kept_bytes
+        assert 2 * kept_bytes <= current and peak - current < kept_bytes // 4
+
+    def _run(self, strategy, keep):
+        """Prefill hidden states, the logits of STEPS decode steps, then every cache layer."""
+        model, layout, ids, saliency = seeded_inputs(
+            ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, mlp_dim=128,
+                        vocab_size=97, max_positions=80, master_seed=4),
+            4, 16, 6,
+        )
+        cfg = ScheduleConfig(Strategy(strategy), migration_depth=2)
+        result = run_strategy(model, ids, layout, partition_topk(saliency, keep), cfg)
+        cache = result.cache
+        first = cache.entry_counts()
+        out = [result.hidden]
+        token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
+        for step in range(self.STEPS):
+            out.append(decode_step(model, cache, token, layout.total_prefill + step))
+            token = int(np.argmax(out[-1]))
+        # every layer's capacity doubled at least twice during the steps
+        assert all(cache._keys[layer].shape[0] >= 4 * first[layer] for layer in range(4))
+        for layer in range(4):
+            out += [cache.positions(layer), cache.keys(layer), cache.values(layer)]
+        return out, cache
+
+    @pytest.mark.parametrize(
+        "strategy, keep", [("Vanilla", 6), ("ParVTSBatch", 0), ("ParVTSBatch", 6)]
+    )
+    def test_bits_do_not_depend_on_memory_layout(self, monkeypatch, strategy, keep):
+        head_major, head_major_cache = self._run(strategy, keep)
+        monkeypatch.setattr(KVCache, "_buffer", _row_major_buffer)
+        row_major, row_major_cache = self._run(strategy, keep)
+        assert len(head_major) == len(row_major)
+        assert all(np.array_equal(a, b) for a, b in zip(head_major, row_major))
+        self._assert_head_major(head_major_cache)
+        assert not row_major_cache.keys(0)[:, 0].flags.c_contiguous

@@ -17,6 +17,7 @@ from parvts.numerics import (
     rms_norm_rows,
     rope_apply,
     rope_rotate_heads,
+    rope_tables,
     seeded_uniform,
     softmax_rows,
     softmax_tiles,
@@ -321,6 +322,17 @@ class TestRope:
                     np.testing.assert_array_equal(
                         batched[r, h], rope_apply(x[r, h], int(positions[r]))
                     )
+
+    def test_tables_give_the_same_bits(self):
+        rng = RngState(6)
+        positions = np.array([0, 1, 7, 511, 2048, 4095])
+        for head_dim in range(2, 33, 2):
+            x = seeded_uniform(rng, 6, 3 * head_dim, 1.0).reshape(6, 3, head_dim)
+            tables = rope_tables(positions, head_dim)
+            assert tables[0].shape == tables[1].shape == (6, 1, head_dim // 2)
+            assert np.array_equal(
+                rope_rotate_heads(x, positions, tables), rope_rotate_heads(x, positions)
+            )
 
     def test_cached_frequencies_are_read_only(self):
         freqs = _rope_freqs(8)
