@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 internal invariant violation
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import traceback
@@ -28,7 +29,9 @@ from .verify import render_results, run_checks
 _COST_INPUTS = typing.get_type_hints(CostParams)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="parvts",
         description="Vision-token scheduling laboratory: prefill strategies, "

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parvts.cli import main
+from parvts.cli import _build_parser, main
 from parvts.configfile import (
     SCHEMA,
     ConfigError,
@@ -18,6 +18,7 @@ from parvts.cost import CostParams
 from parvts.harness import RUN_KEYS, ExperimentConfig
 from parvts.model import ModelConfig
 from parvts.scheduler import ScheduleConfig, Strategy
+from parvts.verify import _Context, check_oracle_equivalence, check_sweep_runtime
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,6 +116,19 @@ class TestCmdRun:
         text = out.read_text()
         assert "schedule.alpha = 0" in text
         assert "schedule.beta = 1" in text
+
+    def test_cached_parser_keeps_no_override_between_calls(self, tmp_path):
+        assert _build_parser() is _build_parser()
+        config = tmp_path / "run.cfg"
+        config.write_text(MINIMAL_CONFIG)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        assert main(["run", "--config", str(config), "--set", "model.seed=5",
+                     "--out", str(first)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(second)]) == 0
+        assert "  model.seed = 5\n" in first.read_text()
+        echo = second.read_text()
+        assert "  model.seed = 0\n" in echo
+        assert "model.seed = 5" not in echo
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -289,6 +303,15 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL oracle_equivalence" in out
+
+    def test_slow_sweep_fails_only_the_budget_line(self):
+        ctx = _Context()
+        ctx.sweep()
+        ctx.sweep_seconds = 31.0
+        assert check_oracle_equivalence(ctx).passed
+        budget = check_sweep_runtime(ctx)
+        assert budget.name == "sweep_runtime_under_30s"
+        assert not budget.passed
 
 
 class TestConsoleEntry:

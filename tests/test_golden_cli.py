@@ -5,8 +5,9 @@ code, stdout, stderr and (for `sweep`) the CSV it wrote, in the layout that
 `render` produces. The cost and sweep files were written before the cost
 model's fields were derived from `CostParams` / `CostReport`, so they pin the
 flags, the printout order, the CSV columns and the `--L` consistency check.
-cli_verify.txt was written before verify took its inputs and decodes from the
-harness; it pins every check's verdict and printed figures.
+cli_verify.txt pins every check's verdict and printed figures; its figures
+date from before verify took its inputs and decodes from the harness, and it
+gained one line when the sweep's time budget became its own check.
 """
 
 from pathlib import Path

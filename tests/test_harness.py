@@ -4,6 +4,7 @@ import pytest
 from parvts.errors import InvalidArgumentError
 from parvts.harness import (
     ExperimentConfig,
+    batch_oracle_divergence,
     compare_states,
     run_experiment,
     serialize_report,
@@ -106,10 +107,17 @@ class TestRunExperiment:
         assert vanilla_block.masked_batch_gap is None
 
     def test_oracle_divergence_reported_for_batch(self):
-        report = run_experiment(experiment())
-        batch = next(b for b in report.blocks if b.strategy == "ParVTSBatch")
-        assert batch.max_divergence_vs_oracle is not None
-        assert batch.max_divergence_vs_oracle <= 1e-6
+        assert batch_oracle_divergence(experiment()) <= 1e-6
+
+    def test_run_does_not_call_the_oracle(self, monkeypatch):
+        config = experiment()
+        unpatched = serialize_report(run_experiment(config))
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("run_experiment called the two-pass oracle")
+
+        monkeypatch.setattr("parvts.harness.oracle_two_pass", no_oracle)
+        assert serialize_report(run_experiment(config)) == unpatched
 
     def test_sequential_flops_do_not_exceed_vanilla(self):
         report = run_experiment(experiment())
