@@ -4,9 +4,10 @@ For each layout below and each of the five strategies it hashes the toy
 saliency, the prefill's final hidden states, every cache layer's positions,
 keys and values, and the logits of 8 greedy decode steps after the prefill.
 The layouts sit on both sides of the softmax's untiled row limit (192 rows);
-one has fewer rows than heads and the largest has 960 rows. The last two
-leave one visual group empty (keep 0 and keep all), and the last has no
-system tokens and a joint prefix as deep as the migration layer.
+one has fewer rows than heads and the largest has 960 rows. Two leave one
+visual group empty (keep 0 and keep all); the keep-all one has no system
+tokens and a joint prefix as deep as the migration layer. The last migrates
+at the last layer (n = N), so no layer runs after the migration step.
 
 Run `python tests/kernel_digest.py` with `src` on the path to print the
 digest. tests/data/kernel_sha256.txt holds the value under one BLAS thread.
@@ -35,6 +36,7 @@ LAYOUTS = (
     (32, 864, 64, 96, 2, 1),
     (4, 16, 6, 0, 2, 1),
     (0, 20, 3, 20, 3, 3),
+    (4, 16, 6, 6, 4, 1),
 )
 
 

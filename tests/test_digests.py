@@ -2,8 +2,9 @@
 
 Each digest script hashes one side's outputs; its pinned file under
 tests/data holds the value under one BLAS thread. kernel_sha256.txt covers
-every schedule, collapsed visual groups included, and was written before
-the ParVTS runners shared one migration step. oracle_sha256.txt was written
+every schedule, collapsed visual groups and a migration at the last layer
+included, and was written before `run_strategy` embedded the prompt once
+and ran Vanilla through its runner table. oracle_sha256.txt was written
 while reference_layer still looped over every row, head and key in Python.
 OpenBLAS reads its thread count once when numpy loads, so each digest is
 recomputed in a subprocess.
