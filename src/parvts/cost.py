@@ -36,9 +36,6 @@ _PRESETS = (
     ("Video-LLaVA", "7B", 24),
 )
 
-STEPWISE_SUM_LIMIT = 10_000
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Inputs of the analytic model; the prompt length L = L_text + L_img is derived."""
@@ -96,8 +93,8 @@ def prefill_flops_vanilla(params: CostParams) -> float:
 def decoding_flops_vanilla(params: CostParams, mode: str = "closed") -> float:
     """Decoding cost over M steps with cache length L + i - 1 at step i.
 
-    'stepwise' sums the per-step terms literally (arithmetic series for very
-    large M); 'closed' evaluates N * M * (4d^2 + 2d(L + (M-1)/2) + 2md).
+    'stepwise' sums the M per-step terms literally, one by one, whatever M
+    is; 'closed' evaluates N * M * (4d^2 + 2d(L + (M-1)/2) + 2md).
     """
     N, M, d, m, L = params.N, params.M, params.d, params.m, params.L
     if mode == "closed":
@@ -105,13 +102,10 @@ def decoding_flops_vanilla(params: CostParams, mode: str = "closed") -> float:
             return 0.0
         return N * M * (4.0 * d * d + 2.0 * d * (L + (M - 1) / 2.0) + 2.0 * m * d)
     if mode == "stepwise":
-        if M <= STEPWISE_SUM_LIMIT:
-            total = 0.0
-            for i in range(1, M + 1):
-                total += N * (4.0 * d * d + 2.0 * d * (L + i - 1) + 2.0 * m * d)
-            return total
-        base = N * M * (4.0 * d * d + 2.0 * d * L + 2.0 * m * d)
-        return base + N * 2.0 * d * (M * (M - 1) / 2.0)
+        total = 0.0
+        for i in range(1, M + 1):
+            total += N * (4.0 * d * d + 2.0 * d * (L + i - 1) + 2.0 * m * d)
+        return total
     raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 

@@ -21,8 +21,8 @@ pruned position for the ParVTS modes; rows keep their original positions
 throughout so attention geometry is identical across formulations.
 
 `run_strategy` is the one entry for a scheduled prefill: it validates the
-config and the inputs once and runs the schedule the config names.
-`run_vanilla` builds the full-cache baseline from the token ids alone.
+config and the inputs, embeds the ids once and runs the config's runner,
+Vanilla's included. `run_vanilla` runs that runner from the ids alone.
 """
 
 from __future__ import annotations
@@ -155,20 +155,19 @@ def _causal_phase(model, hidden, positions, layer_range, cache, counts, phase):
     return hidden
 
 
-def _joint_prefix(model, ids, j, cache, counts):
-    """Embed every row and run the first j layers over all of them."""
-    full_pos = np.arange(ids.size, dtype=np.int64)
-    hidden = embed(model, ids)
+def _joint_prefix(model, hidden, j, cache, counts):
+    """Run the first j layers over every embedded row."""
+    full_pos = np.arange(hidden.shape[0], dtype=np.int64)
     if j >= 1:
         hidden = _causal_phase(model, hidden, full_pos, (1, j), cache, counts, "joint_prefix")
     return full_pos, hidden
 
 
-def _continuation(model, hidden, positions, n, cache, counts, phase="continuation"):
-    """Layers n+1..N over the rows that survive the migration layer."""
-    return _causal_phase(
-        model, hidden, positions, (n + 1, model.config.num_layers), cache, counts, phase
-    )
+def _tail(model, hidden, positions, done, cache, counts, phase, diagnostics) -> PrefillResult:
+    """Layers done+1..N over `positions` under a causal mask, then the result."""
+    last = model.config.num_layers
+    hidden = _causal_phase(model, hidden, positions, (done + 1, last), cache, counts, phase)
+    return PrefillResult(hidden, cache, positions, counts, diagnostics)
 
 
 def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
@@ -178,18 +177,6 @@ def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
         "question_at_migration": hidden[split:].copy(),
         "retained_at_migration": hidden[:split].copy(),
     }
-
-
-def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResult:
-    """Full causal prefill through every layer with a full cache."""
-    ids = _check_inputs(token_ids, layout)
-    positions = np.arange(ids.size, dtype=np.int64)
-    cache = model.new_cache()
-    counts: dict[str, int] = {}
-    hidden = _causal_phase(
-        model, embed(model, ids), positions, (1, model.config.num_layers), cache, counts, "full"
-    )
-    return PrefillResult(hidden, cache, positions, counts, diagnostics={})
 
 
 def _migrate(model, hidden, positions, non_pos, num_q, n, cache, counts, diagnostics):
@@ -203,25 +190,36 @@ def _migrate(model, hidden, positions, non_pos, num_q, n, cache, counts, diagnos
     if non_pos.size:
         cache = cache.drop_positions(non_pos)
     diagnostics.update(_at_migration(hidden, num_q))
-    hidden = _continuation(model, hidden, positions, n, cache, counts)
-    return PrefillResult(hidden, cache, positions, counts, diagnostics)
+    return _tail(model, hidden, positions, n, cache, counts, "continuation", diagnostics)
+
+
+def _run_vanilla(
+    model: Model,
+    embedded: np.ndarray,
+    layout: SequenceLayout,
+    partition: Partition | None,
+    cfg: ScheduleConfig | None,
+) -> PrefillResult:
+    """Full causal prefill through every layer with a full cache."""
+    positions = np.arange(embedded.shape[0], dtype=np.int64)
+    return _tail(model, embedded, positions, 0, model.new_cache(), {}, "full", {})
 
 
 def _run_parvts_batch(
     model: Model,
-    ids: np.ndarray,
+    embedded: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
 ) -> PrefillResult:
     """Reference two-branch schedule: joint prefix, parallel branches, fusion.
 
-    Branch inputs are rows of the joint-prefix output (fresh embeddings when
+    Branch inputs are rows of the joint-prefix output (the embedded rows when
     the joint prefix is empty). With an empty visual group the one branch is
     every row under a causal mask; that is the masked schedule, which then runs.
     """
     if partition.keep_count == 0 or partition.nonsubject_indices.size == 0:
-        result = _run_parvts_masked(model, ids, layout, partition, cfg)
+        result = _run_parvts_masked(model, embedded, layout, partition, cfg)
         result.diagnostics["system_identity_max_diff"] = []
         return result
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
@@ -234,7 +232,7 @@ def _run_parvts_batch(
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    _, hidden = _joint_prefix(model, ids, j, cache, counts)
+    _, hidden = _joint_prefix(model, embedded, j, cache, counts)
 
     branch_sub_pos = np.concatenate([sys_pos, sub_pos, q_pos])
     branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
@@ -259,7 +257,7 @@ def _run_parvts_batch(
 
 def _run_parvts_masked(
     model: Model,
-    ids: np.ndarray,
+    embedded: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
@@ -279,17 +277,17 @@ def _run_parvts_masked(
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    full_pos, hidden = _joint_prefix(model, ids, j, cache, counts)
+    full_pos, hidden = _joint_prefix(model, embedded, j, cache, counts)
     if n > j:
         exclusive = group_exclusive_mask(full_pos, sub_pos, non_pos)
         hidden = run_layers(model, hidden, full_pos, (j + 1, n), exclusive, cache)
-        counts["exclusive_mask"] = int(ids.size)
+        counts["exclusive_mask"] = int(full_pos.size)
     return _migrate(model, hidden, full_pos, non_pos, num_q, n, cache, counts, {})
 
 
 def _run_sequential(
     model: Model,
-    ids: np.ndarray,
+    embedded: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
@@ -311,23 +309,21 @@ def _run_sequential(
     cache = model.new_cache()
     counts: dict[str, int] = {}
     h1 = _causal_phase(
-        model, embed(model, ids[stage1_pos]), stage1_pos, (1, cfg.migration_depth),
-        cache, counts, names[0],
+        model, embedded[stage1_pos], stage1_pos, (1, cfg.migration_depth), cache, counts, names[0]
     )
 
     # ReplaceVision: swap the visual slots for the other group's embeddings
     # while the system and question hidden states persist.
     stage2_pos = np.concatenate([sys_pos, second_group_pos, q_pos])
     h2 = np.concatenate(
-        [h1[:num_sys], embed(model, ids[second_group_pos]), h1[num_sys + first_group_pos.size :]]
+        [h1[:num_sys], embedded[second_group_pos], h1[num_sys + first_group_pos.size :]]
     )
-
     diagnostics = _at_migration(h1, num_q)
-    hidden = _continuation(model, h2, stage2_pos, cfg.migration_depth, cache, counts, names[1])
-    return PrefillResult(hidden, cache, stage2_pos, counts, diagnostics)
+    return _tail(model, h2, stage2_pos, cfg.migration_depth, cache, counts, names[1], diagnostics)
 
 
 _RUNNERS = {
+    Strategy.VANILLA: _run_vanilla,
     Strategy.PARVTS_BATCH: _run_parvts_batch,
     Strategy.PARVTS_MASKED: _run_parvts_masked,
     Strategy.SUBJECT_FIRST: _run_sequential,
@@ -342,9 +338,13 @@ def run_strategy(
     partition: Partition,
     cfg: ScheduleConfig,
 ) -> PrefillResult:
-    """Validate cfg and the inputs once, then run the schedule cfg.strategy names."""
-    if cfg.strategy is Strategy.VANILLA:
-        return run_vanilla(model, token_ids, layout)
+    """Validate cfg and the inputs, embed the ids once and run cfg.strategy's runner."""
     cfg.validate(model.config.num_layers)
     ids = _check_inputs(token_ids, layout, partition)
-    return _RUNNERS[cfg.strategy](model, ids, layout, partition, cfg)
+    return _RUNNERS[cfg.strategy](model, embed(model, ids), layout, partition, cfg)
+
+
+def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResult:
+    """Full causal prefill through every layer with a full cache."""
+    ids = _check_inputs(token_ids, layout)
+    return _run_vanilla(model, embed(model, ids), layout, None, None)

@@ -261,6 +261,12 @@ def test_criterion_10_verify_determinism_and_runtime():
     assert "FAIL" not in first
     assert first == second
     assert elapsed / 2 < 60.0
+    lines = first.splitlines()
+    assert lines[-1] == "13/13 checks passed"
+    # each time budget is a line of its own, apart from the verdict it times
+    for budget in ("sweep_runtime_under_30s", "reference_ratio_fit_under_1s",
+                   "total_runtime_under_60s"):
+        assert f"PASS {budget}: yes" in lines
     print("PASS criterion 10: verify output byte-identical across runs, under 60 s")
 
 

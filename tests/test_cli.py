@@ -18,7 +18,13 @@ from parvts.cost import CostParams
 from parvts.harness import RUN_KEYS, ExperimentConfig
 from parvts.model import ModelConfig
 from parvts.scheduler import ScheduleConfig, Strategy
-from parvts.verify import _Context, check_oracle_equivalence, check_sweep_runtime
+from parvts.verify import (
+    _Context,
+    check_oracle_equivalence,
+    check_ratio_fit_runtime,
+    check_reference_ratio_fit,
+    check_sweep_runtime,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -307,11 +313,22 @@ class TestCmdVerify:
     def test_slow_sweep_fails_only_the_budget_line(self):
         ctx = _Context()
         ctx.sweep()
-        ctx.sweep_seconds = 31.0
+        ctx.seconds["sweep"] = 31.0
         assert check_oracle_equivalence(ctx).passed
         budget = check_sweep_runtime(ctx)
         assert budget.name == "sweep_runtime_under_30s"
         assert not budget.passed
+
+    def test_slow_ratio_fit_fails_only_the_budget_line(self):
+        ctx = _Context()
+        ctx.ratio_fit()
+        ctx.seconds["ratio_fit"] = 1.0
+        fit = check_reference_ratio_fit(ctx)
+        assert fit.passed and "budget" not in fit.detail
+        budget = check_ratio_fit_runtime(ctx)
+        assert (budget.name, budget.passed, budget.detail) == (
+            "reference_ratio_fit_under_1s", False, "no"
+        )
 
 
 class TestConsoleEntry:

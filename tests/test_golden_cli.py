@@ -6,8 +6,9 @@ code, stdout, stderr and (for `sweep`) the CSV it wrote, in the layout that
 model's fields were derived from `CostParams` / `CostReport`, so they pin the
 flags, the printout order, the CSV columns and the `--L` consistency check.
 cli_verify.txt pins every check's verdict and printed figures; its figures
-date from before verify took its inputs and decodes from the harness, and it
-gained one line when the sweep's time budget became its own check.
+date from before verify took its inputs and decodes from the harness. It
+gained one line each when the sweep's and the ratio fit's time budgets
+became checks of their own.
 """
 
 from pathlib import Path

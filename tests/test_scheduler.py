@@ -25,6 +25,7 @@ from parvts.scheduler import (
     fuse_question_states,
     group_exclusive_mask,
     nonsubject_positions,
+    _RUNNERS,
     prune_cache,
     run_strategy,
     run_vanilla,
@@ -459,3 +460,48 @@ class TestScheduleConfig:
         token_ids, part, cfg = change(ids, partition, ScheduleConfig(strategy, 2, 0.5, 0.5, 1))
         with pytest.raises(InvalidArgumentError, match=f"^{message}"):
             run_strategy(model, token_ids, layout, part, cfg)
+
+
+class TestOnePrefillPath:
+    # case -> (strategy, keep count); None runs run_vanilla
+    CASES = {
+        **{s.value: (s, 6) for s in Strategy},
+        "ParVTSBatch_keep_0": (Strategy.PARVTS_BATCH, 0),
+        "ParVTSBatch_keep_all": (Strategy.PARVTS_BATCH, 16),
+        "run_vanilla": (None, 6),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_prefill_embeds_every_id_once(self, case, monkeypatch):
+        import parvts.scheduler as scheduler
+
+        strategy, keep = self.CASES[case]
+        model, layout, ids, partition = make_setup(keep=keep)
+        embedded = []
+
+        def counting_embed(model, token_ids):
+            embedded.append(np.array(token_ids))
+            return embed(model, token_ids)
+
+        monkeypatch.setattr(scheduler, "embed", counting_embed)
+        if strategy is None:
+            run_vanilla(model, ids, layout)
+        else:
+            run_strategy(model, ids, layout, partition, ScheduleConfig(strategy, 2, 0.5, 0.5, 1))
+        assert len(embedded) == 1
+        assert embedded[0].size == layout.total_prefill
+        np.testing.assert_array_equal(embedded[0], ids)
+
+    def test_vanilla_is_a_runner_like_the_others(self):
+        assert set(_RUNNERS) == set(Strategy)
+        model, layout, ids, partition = make_setup()
+        direct = run_vanilla(model, ids, layout)
+        routed = run_strategy(model, ids, layout, partition, ScheduleConfig(Strategy.VANILLA, 2))
+        assert np.array_equal(direct.hidden, routed.hidden)
+        assert np.array_equal(direct.positions, routed.positions)
+        assert direct.phase_token_counts == routed.phase_token_counts
+        for layer in range(model.config.num_layers):
+            for part in ("positions", "keys", "values"):
+                assert np.array_equal(
+                    getattr(direct.cache, part)(layer), getattr(routed.cache, part)(layer)
+                )
