@@ -163,9 +163,11 @@ class TestParvtsBatch:
         expected = run_layers(
             model, hidden[kept], pos[kept], (n + 1, 4), causal_mask(pos[kept])
         )
+        caches = []
         for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             cfg = ScheduleConfig(strategy, n, 0.5, 0.5, j)
             result = run_strategy(model, ids, layout, partition, cfg)
+            caches.append(result.cache)
             assert np.array_equal(result.hidden, expected)
             assert np.array_equal(result.positions, pos[kept])
             assert result.cache.entry_counts() == [int(kept.sum())] * 4
@@ -174,6 +176,10 @@ class TestParvtsBatch:
             )
             diffs = result.diagnostics.get("system_identity_max_diff")
             assert diffs == ([] if strategy is Strategy.PARVTS_BATCH else None)
+        batch, masked = caches
+        for layer in range(4):
+            for part in ("positions", "keys", "values"):
+                assert np.array_equal(getattr(batch, part)(layer), getattr(masked, part)(layer))
 
 
 class TestParvtsMasked:
@@ -491,6 +497,49 @@ class TestOnePrefillPath:
         assert len(embedded) == 1
         assert embedded[0].size == layout.total_prefill
         np.testing.assert_array_equal(embedded[0], ids)
+
+    # case -> (strategy, keep count, n, j, phase_token_counts); 4 system,
+    # 16 visual and 6 question rows, so L = 26 and N = 4
+    PHASES = {
+        "Vanilla": (Strategy.VANILLA, 6, 3, 1, {"full": 26}),
+        "ParVTSBatch": (Strategy.PARVTS_BATCH, 6, 3, 1, {
+            "joint_prefix": 26, "branch_nonsubject": 20, "branch_subject": 16,
+            "continuation": 16,
+        }),
+        "ParVTSBatch_j_0": (Strategy.PARVTS_BATCH, 6, 3, 0, {
+            "branch_nonsubject": 20, "branch_subject": 16, "continuation": 16,
+        }),
+        "ParVTSBatch_keep_0": (Strategy.PARVTS_BATCH, 0, 3, 1, {
+            "joint_prefix": 26, "exclusive_mask": 26, "continuation": 10,
+        }),
+        "ParVTSBatch_keep_all": (Strategy.PARVTS_BATCH, 16, 3, 1, {
+            "joint_prefix": 26, "exclusive_mask": 26, "continuation": 26,
+        }),
+        "ParVTSBatch_keep_0_j_n": (Strategy.PARVTS_BATCH, 0, 3, 3, {
+            "joint_prefix": 26, "continuation": 10,
+        }),
+        "ParVTSMasked": (Strategy.PARVTS_MASKED, 6, 3, 1, {
+            "joint_prefix": 26, "exclusive_mask": 26, "continuation": 16,
+        }),
+        "ParVTSMasked_j_n": (Strategy.PARVTS_MASKED, 6, 3, 3, {
+            "joint_prefix": 26, "continuation": 16,
+        }),
+        "SubjectFirst": (Strategy.SUBJECT_FIRST, 6, 3, 1, {
+            "subject_stage": 16, "nonsubject_stage": 20,
+        }),
+        "NonSubjectFirst": (Strategy.NONSUBJECT_FIRST, 6, 3, 1, {
+            "nonsubject_stage": 20, "subject_stage": 16,
+        }),
+    }
+
+    @pytest.mark.parametrize("case", PHASES)
+    def test_phase_token_counts_are_pinned(self, case):
+        # the bench sums executed row-layers from these phase names
+        strategy, keep, n, j, expected = self.PHASES[case]
+        model, layout, ids, partition = make_setup(keep=keep)
+        cfg = ScheduleConfig(strategy, n, 0.5, 0.5, j)
+        result = run_strategy(model, ids, layout, partition, cfg)
+        assert list(result.phase_token_counts.items()) == list(expected.items())
 
     def test_vanilla_is_a_runner_like_the_others(self):
         assert set(_RUNNERS) == set(Strategy)
