@@ -237,24 +237,24 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         result = run_strategy(model, ids, layout, partition, cfg)
         return cfg, result, decode_after(model, result, config.decode_steps)
 
-    # the vanilla run is the comparison baseline even when its block is not requested
-    baseline_cfg, baseline_result, baseline_decoded = run_one(Strategy.VANILLA)
-    vanilla_question = baseline_result.hidden[-config.num_question :]
+    # one run per strategy, Vanilla first: it is the comparison baseline even
+    # when its block is not requested
+    runs = {s: run_one(s) for s in dict.fromkeys((Strategy.VANILLA, *config.strategies))}
+    _, vanilla, vanilla_decoded = runs[Strategy.VANILLA]
+    vanilla_question = vanilla.hidden[-config.num_question :]
+    parvts_modes = (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED)
+    gap = None
+    if all(mode in runs for mode in parvts_modes):
+        gap = compare_states(
+            *(runs[mode][1].diagnostics["question_at_migration"] for mode in parvts_modes)
+        )
 
-    results = {Strategy.VANILLA: baseline_result}
     blocks: list[StrategyReport] = []
-
     for strategy in config.strategies:
-        if strategy is Strategy.VANILLA:
-            cfg, result, decoded = baseline_cfg, baseline_result, baseline_decoded
-        else:
-            cfg, result, decoded = run_one(strategy)
-        results[strategy] = result
-
-        question = result.hidden[-config.num_question :]
-        max_abs = compare_states(question, vanilla_question)
+        cfg, result, decoded = runs[strategy]
+        max_abs = compare_states(result.hidden[-config.num_question :], vanilla_question)
         agreement = (
-            float(np.mean(np.array(decoded) == np.array(baseline_decoded)))
+            float(np.mean(np.array(decoded) == np.array(vanilla_decoded)))
             if decoded
             else 1.0
         )
@@ -276,17 +276,9 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
                 decoded_ids=list(decoded),
                 agreement_vs_vanilla=agreement,
                 max_divergence_vs_vanilla=max_abs,
+                masked_batch_gap=gap if strategy in parvts_modes else None,
             )
         )
-
-    if Strategy.PARVTS_BATCH in results and Strategy.PARVTS_MASKED in results:
-        gap = compare_states(
-            results[Strategy.PARVTS_BATCH].diagnostics["question_at_migration"],
-            results[Strategy.PARVTS_MASKED].diagnostics["question_at_migration"],
-        )
-        for block in blocks:
-            if block.strategy in (Strategy.PARVTS_BATCH.value, Strategy.PARVTS_MASKED.value):
-                block.masked_batch_gap = gap
 
     return RunReport(
         schema_version=SCHEMA_VERSION,

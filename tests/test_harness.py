@@ -11,7 +11,7 @@ from parvts.harness import (
 )
 from parvts.model import ModelConfig
 from parvts.numerics import RngState, seeded_uniform
-from parvts.scheduler import ScheduleConfig, Strategy
+from parvts.scheduler import ScheduleConfig, Strategy, run_strategy
 
 ALL_STRATEGIES = (
     Strategy.VANILLA,
@@ -118,6 +118,24 @@ class TestRunExperiment:
 
         monkeypatch.setattr("parvts.harness.oracle_two_pass", no_oracle)
         assert serialize_report(run_experiment(config)) == unpatched
+
+    @pytest.mark.parametrize(
+        "strategies",
+        [ALL_STRATEGIES, (Strategy.PARVTS_MASKED, Strategy.PARVTS_BATCH), (Strategy.VANILLA,)],
+    )
+    def test_each_strategy_runs_once_vanilla_first(self, monkeypatch, strategies):
+        import parvts.harness as harness
+
+        ran = []
+
+        def recording_run_strategy(model, ids, layout, partition, cfg):
+            ran.append(cfg.strategy)
+            return run_strategy(model, ids, layout, partition, cfg)
+
+        monkeypatch.setattr(harness, "run_strategy", recording_run_strategy)
+        report = run_experiment(experiment(strategies=strategies))
+        assert ran == list(dict.fromkeys((Strategy.VANILLA, *strategies)))
+        assert [block.strategy for block in report.blocks] == [s.value for s in strategies]
 
     def test_sequential_flops_do_not_exceed_vanilla(self):
         report = run_experiment(experiment())
