@@ -125,6 +125,9 @@ def _parse_axis(spec: str) -> tuple[str, list]:
             values = [float(x) for x in body.split(",") if x.strip()]
         if not values:
             raise ValueError("no values")
+        for value in values:
+            if cast is int and not value.is_integer():
+                raise ValueError(f"{name} = {value!r} is not an integer")
         typed = [cast(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad grid axis {spec!r}: {exc}") from exc

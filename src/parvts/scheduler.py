@@ -53,7 +53,8 @@ class Strategy(str, enum.Enum):
 
 
 def _check_fusion_weights(alpha: float, beta: float):
-    if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-12:
+    # written so that a NaN weight fails: every comparison with NaN is False
+    if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1.0) <= 1e-12):
         raise InvalidArgumentError(f"alpha {alpha} and beta {beta} must be >= 0 and sum to 1")
 
 

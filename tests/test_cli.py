@@ -155,6 +155,10 @@ class TestCmdRun:
              "schedule.joint_prefix 5 outside [0, schedule.migration_depth 2]"),
             ("schedule.alpha=0.7",
              "schedule.alpha 0.7 and schedule.beta 0.5 must be >= 0 and sum to 1"),
+            ("schedule.alpha=nan",
+             "schedule.alpha nan and schedule.beta 0.5 must be >= 0 and sum to 1"),
+            ("schedule.beta=nan",
+             "schedule.alpha 0.5 and schedule.beta nan must be >= 0 and sum to 1"),
             ("partition.keep_count=99", "partition.keep_count 99 outside [0, tokens.visual = 16]"),
             ("tokens.visual=0", "tokens.visual must be >= 1"),
             ("decode.steps=-1", "decode.steps must be >= 0"),
@@ -253,6 +257,12 @@ class TestCmdCost:
             (["cost", "--M", "-1"], "error: M must be >= 0"),
             (["cost", "--set", "cost.d=-3"], "error: d must be >= 0"),
             (["sweep", "--out", "sweep.csv", "L_img=-5,3"], "error: L_img must be >= 0"),
+            (["sweep", "--out", "sweep.csv", "n=1:3:0.5"],
+             "error: bad grid axis 'n=1:3:0.5': n = 1.5 is not an integer"),
+            (["sweep", "--out", "sweep.csv", "N=32.9"],
+             "error: bad grid axis 'N=32.9': N = 32.9 is not an integer"),
+            (["sweep", "--out", "sweep.csv", "M=inf"],
+             "error: bad grid axis 'M=inf': M = inf is not an integer"),
         ],
     )
     def test_negative_count_names_key(self, argv, message, tmp_path, monkeypatch, capsys):
