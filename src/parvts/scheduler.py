@@ -16,9 +16,10 @@ Five prefill schedules over the same toy decoder:
                            embeddings (system/question states persist).
 * NonSubjectFirst       -- mirror image of SubjectFirst.
 
-All the non-vanilla schedules end with a cache that contains no entry at a
-pruned position for the ParVTS modes; rows keep their original positions
-throughout so attention geometry is identical across formulations.
+The two ParVTS modes are one runner, `_run_parvts`, that differs only in
+layers j+1..n; with an empty visual group ParVTSBatch takes the masked pass.
+Both end with no cache entry at a pruned position. Rows keep their original
+positions throughout so attention geometry is identical across formulations.
 
 `run_strategy` is the one entry for a scheduled prefill: it validates the
 config and the inputs, embeds the ids once and runs the config's runner,
@@ -156,14 +157,6 @@ def _causal_phase(model, hidden, positions, layer_range, cache, counts, phase):
     return hidden
 
 
-def _joint_prefix(model, hidden, j, cache, counts):
-    """Run the first j layers over every embedded row."""
-    full_pos = np.arange(hidden.shape[0], dtype=np.int64)
-    if j >= 1:
-        hidden = _causal_phase(model, hidden, full_pos, (1, j), cache, counts, "joint_prefix")
-    return full_pos, hidden
-
-
 def _tail(model, hidden, positions, done, cache, counts, phase, diagnostics) -> PrefillResult:
     """Layers done+1..N over `positions` under a causal mask, then the result."""
     last = model.config.num_layers
@@ -180,20 +173,6 @@ def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
     }
 
 
-def _migrate(model, hidden, positions, non_pos, num_q, n, cache, counts, diagnostics):
-    """The migration step: drop the non-subject rows at layer n and run n+1..N.
-
-    Their cache entries go too, and the question rows and the other retained
-    rows at layer n are recorded in `diagnostics`.
-    """
-    keep = ~np.isin(positions, non_pos)
-    positions, hidden = positions[keep], hidden[keep]
-    if non_pos.size:
-        cache = cache.drop_positions(non_pos)
-    diagnostics.update(_at_migration(hidden, num_q))
-    return _tail(model, hidden, positions, n, cache, counts, "continuation", diagnostics)
-
-
 def _run_vanilla(
     model: Model,
     embedded: np.ndarray,
@@ -206,23 +185,26 @@ def _run_vanilla(
     return _tail(model, embedded, positions, 0, model.new_cache(), {}, "full", {})
 
 
-def _run_parvts_batch(
+def _run_parvts(
     model: Model,
     embedded: np.ndarray,
     layout: SequenceLayout,
     partition: Partition,
     cfg: ScheduleConfig,
 ) -> PrefillResult:
-    """Reference two-branch schedule: joint prefix, parallel branches, fusion.
+    """Joint prefix, the grouped layers j+1..n, then the migration step.
 
-    Branch inputs are rows of the joint-prefix output (the embedded rows when
-    the joint prefix is empty). With an empty visual group the one branch is
-    every row under a causal mask; that is the masked schedule, which then runs.
+    Layers 1..j run every row under a causal mask. ParVTSBatch runs j+1..n as
+    two parallel branches, one per visual group, each with its own question
+    copy; branch inputs are rows of the joint-prefix output (the embedded rows
+    when the joint prefix is empty) and the question states are fused at layer
+    n. ParVTSMasked runs j+1..n as one pass under `group_exclusive_mask`, where
+    question rows attend to both groups, so no fusion step exists. With an
+    empty visual group the one branch is every row under a causal mask, which
+    is that pass, so ParVTSBatch runs it too. At layer n the non-subject rows
+    and their cache entries go, the question rows and the other retained rows
+    are recorded in `diagnostics`, and the retained rows run n+1..N.
     """
-    if partition.keep_count == 0 or partition.nonsubject_indices.size == 0:
-        result = _run_parvts_masked(model, embedded, layout, partition, cfg)
-        result.diagnostics["system_identity_max_diff"] = []
-        return result
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
 
     sub_pos = subject_positions(layout, partition)
@@ -233,57 +215,40 @@ def _run_parvts_batch(
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    _, hidden = _joint_prefix(model, embedded, j, cache, counts)
+    positions = np.arange(embedded.shape[0], dtype=np.int64)
+    hidden = embedded
+    if j >= 1:
+        hidden = _causal_phase(model, hidden, positions, (1, j), cache, counts, "joint_prefix")
 
-    branch_sub_pos = np.concatenate([sys_pos, sub_pos, q_pos])
-    branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
-    h_sub = hidden[branch_sub_pos]
-    h_non = hidden[branch_non_pos]
-    mask_sub = causal_mask(branch_sub_pos)
-    mask_non = causal_mask(branch_non_pos)
+    batch = cfg.strategy is Strategy.PARVTS_BATCH
     identity_diffs: list[float] = []
-    for layer in range(j + 1, n + 1):
-        h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
-        h_sub = run_layers(model, h_sub, branch_sub_pos, (layer, layer), mask_sub, cache)
-        if num_sys:
-            identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys]))))
-    counts["branch_nonsubject"] = int(branch_non_pos.size)
-    counts["branch_subject"] = int(branch_sub_pos.size)
-    h_sub[num_sys + sub_pos.size :] = fuse_question_states(
-        h_non[num_sys + non_pos.size :], h_sub[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
-    )
-    diagnostics = {"system_identity_max_diff": identity_diffs}
-    return _migrate(model, h_sub, branch_sub_pos, non_pos, num_q, n, cache, counts, diagnostics)
+    diagnostics = {"system_identity_max_diff": identity_diffs} if batch else {}
+    if batch and sub_pos.size and non_pos.size:
+        positions = np.concatenate([sys_pos, sub_pos, q_pos])
+        branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
+        h_non, hidden = hidden[branch_non_pos], hidden[positions]
+        mask_sub, mask_non = causal_mask(positions), causal_mask(branch_non_pos)
+        for layer in range(j + 1, n + 1):
+            h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
+            hidden = run_layers(model, hidden, positions, (layer, layer), mask_sub, cache)
+            if num_sys:
+                identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - hidden[:num_sys]))))
+        counts["branch_nonsubject"] = int(branch_non_pos.size)
+        counts["branch_subject"] = int(positions.size)
+        hidden[num_sys + sub_pos.size :] = fuse_question_states(
+            h_non[num_sys + non_pos.size :], hidden[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
+        )
+    elif n > j:
+        exclusive = group_exclusive_mask(positions, sub_pos, non_pos)
+        hidden = run_layers(model, hidden, positions, (j + 1, n), exclusive, cache)
+        counts["exclusive_mask"] = int(positions.size)
 
-
-def _run_parvts_masked(
-    model: Model,
-    embedded: np.ndarray,
-    layout: SequenceLayout,
-    partition: Partition,
-    cfg: ScheduleConfig,
-) -> PrefillResult:
-    """Single-pass variant: one sequence, group-exclusive masking, mid-run drop.
-
-    Question rows attend to both visual groups inside the masked layers, so
-    no fusion step exists; the two groups never see each other there, and at
-    the migration layer the non-subject rows and their cache entries vanish.
-    With an empty visual group the mask is the causal mask.
-    """
-    n, j = cfg.migration_depth, cfg.joint_prefix_layers
-
-    sub_pos = subject_positions(layout, partition)
-    non_pos = nonsubject_positions(layout, partition)
-    num_q = layout.question_span[1] - layout.question_span[0]
-
-    cache = model.new_cache()
-    counts: dict[str, int] = {}
-    full_pos, hidden = _joint_prefix(model, embedded, j, cache, counts)
-    if n > j:
-        exclusive = group_exclusive_mask(full_pos, sub_pos, non_pos)
-        hidden = run_layers(model, hidden, full_pos, (j + 1, n), exclusive, cache)
-        counts["exclusive_mask"] = int(full_pos.size)
-    return _migrate(model, hidden, full_pos, non_pos, num_q, n, cache, counts, {})
+    keep = ~np.isin(positions, non_pos)
+    positions, hidden = positions[keep], hidden[keep]
+    if non_pos.size:
+        cache = cache.drop_positions(non_pos)
+    diagnostics.update(_at_migration(hidden, num_q))
+    return _tail(model, hidden, positions, n, cache, counts, "continuation", diagnostics)
 
 
 def _run_sequential(
@@ -325,8 +290,8 @@ def _run_sequential(
 
 _RUNNERS = {
     Strategy.VANILLA: _run_vanilla,
-    Strategy.PARVTS_BATCH: _run_parvts_batch,
-    Strategy.PARVTS_MASKED: _run_parvts_masked,
+    Strategy.PARVTS_BATCH: _run_parvts,
+    Strategy.PARVTS_MASKED: _run_parvts,
     Strategy.SUBJECT_FIRST: _run_sequential,
     Strategy.NONSUBJECT_FIRST: _run_sequential,
 }

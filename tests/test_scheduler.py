@@ -549,6 +549,7 @@ class TestOnePrefillPath:
 
     def test_vanilla_is_a_runner_like_the_others(self):
         assert set(_RUNNERS) == set(Strategy)
+        assert _RUNNERS[Strategy.PARVTS_BATCH] is _RUNNERS[Strategy.PARVTS_MASKED]
         model, layout, ids, partition = make_setup()
         direct = run_vanilla(model, ids, layout)
         routed = run_strategy(model, ids, layout, partition, ScheduleConfig(Strategy.VANILLA, 2))
