@@ -226,7 +226,7 @@ def _run_parvts(
     if batch and sub_pos.size and non_pos.size:
         positions = np.concatenate([sys_pos, sub_pos, q_pos])
         branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
-        h_non, hidden = hidden[branch_non_pos], hidden[positions]
+        hidden, h_non = hidden[positions], hidden[branch_non_pos]
         mask_sub, mask_non = causal_mask(positions), causal_mask(branch_non_pos)
         for layer in range(j + 1, n + 1):
             h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
