@@ -115,14 +115,11 @@ def experiment_config_from(resolved: dict[str, str]) -> ExperimentConfig:
         kwargs[owner][name] = values[key]
     run = kwargs[ExperimentConfig]
     try:
-        # the counts first, since max_positions is derived from them
-        ExperimentConfig.check_counts(run)
         seq_len = run["num_system"] + run["num_visual"] + run["num_question"]
-        model = ModelConfig(**kwargs[ModelConfig], max_positions=seq_len + run["decode_steps"] + 1)
+        # floored at 1 so that a bad count reaches ExperimentConfig's own check
+        max_positions = max(1, seq_len + run["decode_steps"] + 1)
+        model = ModelConfig(**kwargs[ModelConfig], max_positions=max_positions)
         schedule = ScheduleConfig(**kwargs[ScheduleConfig])
-        # the cost fields need n in [1, N] whatever the strategy
-        schedule.check_depth(model.num_layers)
-        schedule.validate(model.num_layers)
         # the vanilla baseline first, once
         strategies = tuple(dict.fromkeys((Strategy.VANILLA, schedule.strategy)))
         return ExperimentConfig(**run, model=model, schedule=schedule, strategies=strategies)

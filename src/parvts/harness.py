@@ -53,26 +53,28 @@ class ExperimentConfig:
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self):
-        self.check_counts(vars(self))
+        """The count rules, then room for every position, then the schedule."""
+        if self.num_visual < 1:
+            raise InvalidArgumentError("num_visual must be >= 1")
+        if self.num_question < 1:
+            raise InvalidArgumentError("num_question must be >= 1")
+        if self.num_system < 0:
+            raise InvalidArgumentError("num_system must be >= 0")
+        if not 0 <= self.keep_count <= self.num_visual:
+            raise InvalidArgumentError(
+                f"keep_count {self.keep_count} outside [0, num_visual = {self.num_visual}]"
+            )
+        if self.decode_steps < 0:
+            raise InvalidArgumentError("decode_steps must be >= 0")
+        needed = self.num_system + self.num_visual + self.num_question + self.decode_steps
+        if self.model.max_positions < needed:
+            raise InvalidArgumentError(
+                f"max_positions {self.model.max_positions} below the {needed} "
+                "prompt and decode positions"
+            )
+        self.schedule.validate(self.model.num_layers)
         if not self.strategies:
             raise InvalidArgumentError("at least one strategy is required")
-
-    @staticmethod
-    def check_counts(counts: dict):
-        """The token and decode-step count rules, over a mapping of field values."""
-        if counts["num_visual"] < 1:
-            raise InvalidArgumentError("num_visual must be >= 1")
-        if counts["num_question"] < 1:
-            raise InvalidArgumentError("num_question must be >= 1")
-        if counts["num_system"] < 0:
-            raise InvalidArgumentError("num_system must be >= 0")
-        if not 0 <= counts["keep_count"] <= counts["num_visual"]:
-            raise InvalidArgumentError(
-                f"keep_count {counts['keep_count']} outside "
-                f"[0, num_visual = {counts['num_visual']}]"
-            )
-        if counts["decode_steps"] < 0:
-            raise InvalidArgumentError("decode_steps must be >= 0")
 
     def echo(self) -> dict[str, str]:
         """Fully-resolved configuration as dotted key/value pairs."""
@@ -208,7 +210,7 @@ def _strategy_flops(
     )
     pf = prefill_flops_sequential(params, first)
     df = decoding_flops_sequential(params, first)
-    rho_p = prefill_flops_vanilla(params) / pf if pf else 1.0
+    rho_p = prefill_flops_vanilla(params) / pf
     rho_d = decoding_flops_vanilla(params) / df if df else 1.0
     return pf, df, rho_p, rho_d
 

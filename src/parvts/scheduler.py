@@ -67,18 +67,11 @@ class ScheduleConfig:
     beta: float = 0.5
     joint_prefix_layers: int = 1
 
-    def check_depth(self, num_layers: int):
-        """n in [1, N]; the cost model needs it of Vanilla runs too."""
-        if not 1 <= self.migration_depth <= num_layers:
-            raise InvalidArgumentError(
-                f"migration_depth {self.migration_depth} outside [1, {num_layers}]"
-            )
-
     def validate(self, num_layers: int):
-        if self.strategy is Strategy.VANILLA:
-            return
-        self.check_depth(num_layers)
+        """n in [1, N], j in [0, n] and convex weights, whatever the strategy."""
         n, j = self.migration_depth, self.joint_prefix_layers
+        if not 1 <= n <= num_layers:
+            raise InvalidArgumentError(f"migration_depth {n} outside [1, {num_layers}]")
         if not 0 <= j <= n:
             raise InvalidArgumentError(
                 f"joint_prefix_layers {j} outside [0, migration_depth {n}]"

@@ -153,9 +153,13 @@ class TestCmdRun:
              "schedule.migration_depth 0 outside [1, 4]"),
             ("schedule.joint_prefix=5",
              "schedule.joint_prefix 5 outside [0, schedule.migration_depth 2]"),
+            ("schedule.strategy=Vanilla schedule.joint_prefix=5",
+             "schedule.joint_prefix 5 outside [0, schedule.migration_depth 2]"),
             ("schedule.alpha=0.7",
              "schedule.alpha 0.7 and schedule.beta 0.5 must be >= 0 and sum to 1"),
             ("schedule.alpha=nan",
+             "schedule.alpha nan and schedule.beta 0.5 must be >= 0 and sum to 1"),
+            ("schedule.strategy=Vanilla schedule.alpha=nan",
              "schedule.alpha nan and schedule.beta 0.5 must be >= 0 and sum to 1"),
             ("schedule.beta=nan",
              "schedule.alpha 0.5 and schedule.beta nan must be >= 0 and sum to 1"),

@@ -160,6 +160,21 @@ class TestRunExperiment:
         with pytest.raises(InvalidArgumentError, match="keep_count"):
             experiment(keep_count=9)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"schedule": ScheduleConfig(Strategy.PARVTS_BATCH, 4)}, "migration_depth 4 outside"),
+            ({"schedule": ScheduleConfig(Strategy.VANILLA, 2, joint_prefix_layers=3)},
+             "joint_prefix_layers 3 outside"),
+            ({"schedule": ScheduleConfig(Strategy.SUBJECT_FIRST, 2, 0.6, 0.6)}, "alpha 0.6"),
+            ({"model": ModelConfig(3, 16, 2, 32, 53, max_positions=16)}, "max_positions 16 below"),
+        ],
+        ids=["depth_past_N", "joint_prefix_past_depth", "weights_not_convex", "max_positions"],
+    )
+    def test_bad_config_rejected_at_construction(self, overrides, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            experiment(**overrides)
+
     def test_byte_identical_reports(self):
         config = experiment()
         first = serialize_report(run_experiment(config))

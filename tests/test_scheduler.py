@@ -429,9 +429,6 @@ class TestScheduleConfig:
         with pytest.raises(InvalidArgumentError):
             batch_cfg(2, alpha=0.6, beta=0.6).validate(4)
 
-    def test_vanilla_ignores_schedule_fields(self):
-        ScheduleConfig(Strategy.VANILLA, 99, 0.9, 0.4, 7).validate(4)
-
     def test_dispatcher_routes_all_strategies(self):
         model, layout, ids, partition = make_setup()
         for strategy in Strategy:
@@ -459,7 +456,7 @@ class TestScheduleConfig:
     }
 
     @pytest.mark.parametrize("fault", BAD_INPUTS)
-    @pytest.mark.parametrize("strategy", [s for s in Strategy if s is not Strategy.VANILLA])
+    @pytest.mark.parametrize("strategy", Strategy)
     def test_run_strategy_validates_every_schedule(self, strategy, fault):
         model, layout, ids, partition = make_setup()
         change, message = self.BAD_INPUTS[fault]
