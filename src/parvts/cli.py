@@ -1,6 +1,6 @@
 """Command-line front end: run, cost, sweep, verify.
 
-Exit codes: 0 success, 1 validation error, 2 internal invariant violation
+Exit codes: 0 success, 1 usage or validation error, 2 internal invariant violation
 (including failed verify checks).
 """
 
@@ -29,10 +29,17 @@ from .verify import render_results, run_checks
 _COST_INPUTS = typing.get_type_hints(CostParams)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad usage through main's `error:` line and exit code 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parvts",
         description="Vision-token scheduling laboratory: prefill strategies, "
         "KV-cache pruning, and the analytic FLOPs model.",
@@ -160,8 +167,8 @@ def _cmd_verify() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "cost":

@@ -149,7 +149,10 @@ def decoding_flops_sequential(params: CostParams, first: int) -> float:
 def speedup_prefill(params: CostParams) -> float:
     denom = prefill_flops_parvts(params)
     if denom == 0.0:
-        raise InvalidArgumentError("prefill speedup undefined for an empty prefill (L = 0)")
+        raise InvalidArgumentError(
+            "prefill speedup undefined: the ParVTS prefill costs 0 FLOPs "
+            "(d = 0 or L_text + L_img = 0)"
+        )
     return prefill_flops_vanilla(params) / denom
 
 

@@ -121,29 +121,7 @@ class SweepRun:
         self.model = model
 
 
-class _Context:
-    """Lazily computed shared state across checks, and the seconds each part took."""
-
-    def __init__(self):
-        self._parts: dict[str, object] = {}
-        self.seconds: dict[str, float] = {}
-
-    def _timed(self, part: str, compute):
-        if part not in self._parts:
-            start = time.perf_counter()
-            self._parts[part] = compute()
-            self.seconds[part] = time.perf_counter() - start
-        return self._parts[part]
-
-    def sweep(self) -> list[SweepRun]:
-        return self._timed("sweep", lambda: [SweepRun(case) for case in sweep_cases()])
-
-    def ratio_fit(self) -> tuple[int, list[float]]:
-        return self._timed("ratio_fit", ratio_fit)
-
-
-def check_oracle_equivalence(ctx: _Context) -> CheckResult:
-    runs = ctx.sweep()
+def check_oracle_equivalence(runs: list[SweepRun]) -> CheckResult:
     worst = 0.0
     for run in runs:
         max_abs = compare_states(run.batch.hidden, run.oracle.hidden)
@@ -153,16 +131,15 @@ def check_oracle_equivalence(ctx: _Context) -> CheckResult:
     return CheckResult("oracle_equivalence", ok, detail)
 
 
-def check_sweep_runtime(ctx: _Context) -> CheckResult:
-    ctx.sweep()
-    ok = ctx.seconds["sweep"] < SWEEP_BUDGET_SECONDS
+def check_sweep_runtime(seconds: float) -> CheckResult:
+    ok = seconds < SWEEP_BUDGET_SECONDS
     return CheckResult("sweep_runtime_under_30s", ok, "yes" if ok else "no")
 
 
-def check_system_token_identity(ctx: _Context) -> CheckResult:
+def check_system_token_identity(runs: list[SweepRun]) -> CheckResult:
     worst = 0.0
     layers_checked = 0
-    for run in ctx.sweep():
+    for run in runs:
         diffs = run.batch.diagnostics["system_identity_max_diff"]
         layers_checked += len(diffs)
         if diffs:
@@ -175,11 +152,11 @@ def check_system_token_identity(ctx: _Context) -> CheckResult:
     )
 
 
-def check_cross_mode_agreement(ctx: _Context) -> CheckResult:
+def check_cross_mode_agreement(runs: list[SweepRun]) -> CheckResult:
     worst_rows = 0.0
     worst_gap = 0.0
     finite = True
-    for run in ctx.sweep():
+    for run in runs:
         rows = compare_states(
             run.batch.diagnostics["retained_at_migration"],
             run.masked.diagnostics["retained_at_migration"],
@@ -214,8 +191,8 @@ def _reduction_setup():
     )
 
 
-def check_reduction_chain(_: _Context) -> CheckResult:
-    model, layout, ids, saliency = _reduction_setup()
+def check_reduction_chain(setup) -> CheckResult:
+    model, layout, ids, saliency = setup
     vanilla = run_vanilla(model, ids, layout)
     num_layers = model.config.num_layers
     all_kept = partition_topk(saliency, layout.num_visual)
@@ -241,8 +218,8 @@ def check_reduction_chain(_: _Context) -> CheckResult:
     )
 
 
-def check_kv_cache_pruning(_: _Context) -> CheckResult:
-    model, layout, ids, saliency = _reduction_setup()
+def check_kv_cache_pruning(setup) -> CheckResult:
+    model, layout, ids, saliency = setup
     decode_steps = 4
     failures = []
     for keep in (0, 4, layout.num_visual):
@@ -268,7 +245,7 @@ def check_kv_cache_pruning(_: _Context) -> CheckResult:
     return CheckResult("kv_cache_pruning", ok, detail)
 
 
-def check_cost_identities(_: _Context) -> CheckResult:
+def check_cost_identities() -> CheckResult:
     gen = np.random.Generator(np.random.Philox(key=[99, 0]))
     mismatches = 0
     worst_rel = 0.0
@@ -316,7 +293,7 @@ def check_cost_identities(_: _Context) -> CheckResult:
     )
 
 
-def check_cost_monotonicity(_: _Context) -> CheckResult:
+def check_cost_monotonicity() -> CheckResult:
     N = 6
     base = dict(N=N, L_text=16, L_img=48, d=32, m=64)
     bad = []
@@ -376,8 +353,8 @@ def ratio_fit():
     return best_l, best_ratios
 
 
-def check_reference_ratio_fit(ctx: _Context) -> CheckResult:
-    best_l, ratios = ctx.ratio_fit()
+def check_reference_ratio_fit(fit: tuple[int, list[float]]) -> CheckResult:
+    best_l, ratios = fit
     deviations = [abs(a - b) for a, b in zip(ratios, RATIO_FIT_TARGETS)]
     monotone = ratios[0] > ratios[1] > ratios[2]
     ok = monotone and max(deviations) <= RATIO_FIT_POINTS
@@ -388,9 +365,8 @@ def check_reference_ratio_fit(ctx: _Context) -> CheckResult:
     return CheckResult("reference_ratio_fit", ok, f"L_text = {best_l}: {fits}")
 
 
-def check_ratio_fit_runtime(ctx: _Context) -> CheckResult:
-    ctx.ratio_fit()
-    ok = ctx.seconds["ratio_fit"] < RATIO_FIT_BUDGET_SECONDS
+def check_ratio_fit_runtime(seconds: float) -> CheckResult:
+    ok = seconds < RATIO_FIT_BUDGET_SECONDS
     return CheckResult("reference_ratio_fit_under_1s", ok, "yes" if ok else "no")
 
 
@@ -413,7 +389,7 @@ _EXPECTED_PRESETS = {
 }
 
 
-def check_preset_table(_: _Context) -> CheckResult:
+def check_preset_table() -> CheckResult:
     table = {(b, s): depth for b, s, depth in preset_migration_depths()}
     ok = (
         table == _EXPECTED_PRESETS
@@ -449,7 +425,7 @@ def _determinism_config() -> ExperimentConfig:
     )
 
 
-def check_report_determinism(_: _Context) -> CheckResult:
+def check_report_determinism() -> CheckResult:
     config = _determinism_config()
     first = serialize_report(run_experiment(config))
     second = serialize_report(run_experiment(config))
@@ -459,26 +435,31 @@ def check_report_determinism(_: _Context) -> CheckResult:
     )
 
 
-CHECKS = (
-    check_oracle_equivalence,
-    check_sweep_runtime,
-    check_system_token_identity,
-    check_cross_mode_agreement,
-    check_reduction_chain,
-    check_kv_cache_pruning,
-    check_cost_identities,
-    check_cost_monotonicity,
-    check_reference_ratio_fit,
-    check_ratio_fit_runtime,
-    check_preset_table,
-    check_report_determinism,
-)
+def _timed(compute):
+    start = time.perf_counter()
+    value = compute()
+    return value, time.perf_counter() - start
 
 
 def run_checks() -> list[CheckResult]:
     start = time.perf_counter()
-    ctx = _Context()
-    results = [check(ctx) for check in CHECKS]
+    runs, sweep_seconds = _timed(lambda: [SweepRun(case) for case in sweep_cases()])
+    setup = _reduction_setup()
+    fit, fit_seconds = _timed(ratio_fit)
+    results = [
+        check_oracle_equivalence(runs),
+        check_sweep_runtime(sweep_seconds),
+        check_system_token_identity(runs),
+        check_cross_mode_agreement(runs),
+        check_reduction_chain(setup),
+        check_kv_cache_pruning(setup),
+        check_cost_identities(),
+        check_cost_monotonicity(),
+        check_reference_ratio_fit(fit),
+        check_ratio_fit_runtime(fit_seconds),
+        check_preset_table(),
+        check_report_determinism(),
+    ]
     elapsed = time.perf_counter() - start
     results.append(
         CheckResult(

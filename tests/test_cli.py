@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -18,12 +19,15 @@ from parvts.cost import CostParams
 from parvts.harness import RUN_KEYS, ExperimentConfig
 from parvts.model import ModelConfig
 from parvts.scheduler import ScheduleConfig, Strategy
+import parvts.verify as verify
 from parvts.verify import (
-    _Context,
+    SweepRun,
     check_oracle_equivalence,
     check_ratio_fit_runtime,
     check_reference_ratio_fit,
     check_sweep_runtime,
+    ratio_fit,
+    sweep_cases,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +271,9 @@ class TestCmdCost:
              "error: bad grid axis 'N=32.9': N = 32.9 is not an integer"),
             (["sweep", "--out", "sweep.csv", "M=inf"],
              "error: bad grid axis 'M=inf': M = inf is not an integer"),
+            (["cost", "--d", "0"],
+             "error: prefill speedup undefined: the ParVTS prefill costs 0 FLOPs "
+             "(d = 0 or L_text + L_img = 0)"),
         ],
     )
     def test_negative_count_names_key(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -325,33 +332,62 @@ class TestCmdVerify:
         assert "FAIL oracle_equivalence" in out
 
     def test_slow_sweep_fails_only_the_budget_line(self):
-        ctx = _Context()
-        ctx.sweep()
-        ctx.seconds["sweep"] = 31.0
-        assert check_oracle_equivalence(ctx).passed
-        budget = check_sweep_runtime(ctx)
+        assert check_oracle_equivalence([SweepRun(case) for case in sweep_cases()]).passed
+        budget = check_sweep_runtime(31.0)
         assert budget.name == "sweep_runtime_under_30s"
         assert not budget.passed
 
     def test_slow_ratio_fit_fails_only_the_budget_line(self):
-        ctx = _Context()
-        ctx.ratio_fit()
-        ctx.seconds["ratio_fit"] = 1.0
-        fit = check_reference_ratio_fit(ctx)
+        fit = check_reference_ratio_fit(ratio_fit())
         assert fit.passed and "budget" not in fit.detail
-        budget = check_ratio_fit_runtime(ctx)
+        budget = check_ratio_fit_runtime(1.0)
         assert (budget.name, budget.passed, budget.detail) == (
             "reference_ratio_fit_under_1s", False, "no"
         )
+
+    def test_run_checks_builds_each_shared_input_once(self, monkeypatch):
+        built = {"sweep": 0, "setup": 0, "fit": 0}
+
+        class CountedRun(SweepRun):
+            def __init__(self, case):
+                built["sweep"] += 1
+                super().__init__(case)
+
+        def counted(key, build):
+            def wrapper():
+                built[key] += 1
+                return build()
+            return wrapper
+
+        monkeypatch.setattr(verify, "SweepRun", CountedRun)
+        monkeypatch.setattr(verify, "_reduction_setup", counted("setup", verify._reduction_setup))
+        monkeypatch.setattr(verify, "ratio_fit", counted("fit", verify.ratio_fit))
+        assert all(r.passed for r in verify.run_checks())
+        assert built == {"sweep": 27, "setup": 1, "fit": 1}
 
 
 class TestConsoleEntry:
     def test_installed_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "parvts.cli", "--help"],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
             capture_output=True,
             text=True,
         )
         # argparse exits 0 on --help via SystemExit
         assert proc.returncode == 0
         assert "run" in proc.stdout and "verify" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--n", "2.0"], "error: argument --n: invalid int value: '2.0'"),
+            (["run", "--bogus"], "error: unrecognized arguments: --bogus"),
+            ([], "error: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_1_with_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [message])
