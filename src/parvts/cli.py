@@ -97,6 +97,8 @@ def _cmd_cost(args) -> int:
     resolved = load_config(args.config, args.set)
     flags = {name: getattr(args, name) for name in _COST_INPUTS}
     if args.preset is not None:
+        if flags["n"] is not None:
+            raise ConfigError("--preset and --n both set the migration depth; pass one")
         flags["n"] = migration_depth_for(args.preset)
         if flags["n"] is None:
             raise ConfigError(f"unknown preset backbone {args.preset!r}")
@@ -148,6 +150,9 @@ def _cmd_sweep(args) -> int:
     base = cost_params_from(resolved)
     axes = [_parse_axis(spec) for spec in args.grid]
     names = [name for name, _ in axes]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"sweep axis {name!r} given more than once")
     points = [
         replace(base, **dict(zip(names, combo)))
         for combo in itertools.product(*(values for _, values in axes))

@@ -53,7 +53,7 @@ class CostParams:
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgumentError("pruning rate p must lie in [0, 1]")
         if not 1 <= self.n <= self.N:
-            raise InvalidArgumentError(f"migration depth {self.n} outside [1, {self.N}]")
+            raise InvalidArgumentError(f"migration depth n = {self.n} outside [1, N = {self.N}]")
         for name in ("L_text", "L_img", "M", "d", "m"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")

@@ -9,7 +9,7 @@ original position in the full sequence layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,48 +60,43 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class SequenceLayout:
-    """Half-open spans of the system / visual / question segments.
+    """Token counts of the system, visual and question segments.
 
-    Spans are contiguous, ordered system < visual < question, and cover
-    [0, output_start); generated tokens occupy positions >= output_start.
+    The segments are contiguous, ordered system < visual < question, and
+    cover [0, output_start); generated tokens occupy positions >= output_start.
     """
 
-    system_span: tuple[int, int]
-    visual_span: tuple[int, int]
-    question_span: tuple[int, int]
-    output_start: int
+    num_system: int
+    num_visual: int
+    num_question: int
 
     def __post_init__(self):
-        s, v, q = self.system_span, self.visual_span, self.question_span
-        if s[0] != 0 or s[1] != v[0] or v[1] != q[0] or q[1] != self.output_start:
-            raise InvalidArgumentError(
-                "spans must be contiguous, ordered system < visual < question"
-            )
-        if s[0] > s[1] or v[0] > v[1] or q[0] > q[1]:
-            raise InvalidArgumentError("spans must be non-decreasing ranges")
+        for name in ("num_system", "num_visual", "num_question"):
+            if getattr(self, name) < 0:
+                raise InvalidArgumentError(f"{name} must be >= 0")
 
     @classmethod
     def from_counts(cls, num_system: int, num_visual: int, num_question: int):
-        a, b = num_system, num_system + num_visual
-        c = b + num_question
-        return cls((0, a), (a, b), (b, c), c)
+        return cls(num_system, num_visual, num_question)
 
     @property
-    def num_visual(self) -> int:
-        return self.visual_span[1] - self.visual_span[0]
+    def visual_span(self) -> tuple[int, int]:
+        return self.num_system, self.num_system + self.num_visual
 
     @property
-    def total_prefill(self) -> int:
-        return self.output_start
+    def output_start(self) -> int:
+        return self.num_system + self.num_visual + self.num_question
+
+    total_prefill = output_start
 
     def system_positions(self) -> np.ndarray:
-        return np.arange(*self.system_span, dtype=np.int64)
+        return np.arange(self.num_system, dtype=np.int64)
 
     def visual_positions(self) -> np.ndarray:
         return np.arange(*self.visual_span, dtype=np.int64)
 
     def question_positions(self) -> np.ndarray:
-        return np.arange(*self.question_span, dtype=np.int64)
+        return np.arange(self.visual_span[1], self.output_start, dtype=np.int64)
 
 
 class KVCache:
@@ -250,23 +245,6 @@ class Model:
     layers: tuple[LayerWeights, ...]
     final_gain: np.ndarray
     lm_head: np.ndarray
-
-    def parameter_count(self) -> int:
-        count = self.embedding.size + self.final_gain.size + self.lm_head.size
-        for lw in self.layers:
-            count += sum(getattr(lw, f.name).size for f in fields(LayerWeights))
-        return count
-
-    def parameter_checksum(self) -> float:
-        """Float sum of the embedding, final gain, output head and each layer's
-        weight matrices (not its gains), added in LayerWeights' field order."""
-        total = float(np.sum(self.embedding) + np.sum(self.final_gain) + np.sum(self.lm_head))
-        for lw in self.layers:
-            for f in fields(LayerWeights):
-                weight = getattr(lw, f.name)
-                if weight.ndim == 2:
-                    total += float(np.sum(weight))
-        return total
 
     def new_cache(self) -> KVCache:
         return KVCache(self.config.num_layers, self.config.num_heads, self.config.head_dim)

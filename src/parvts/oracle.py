@@ -122,9 +122,5 @@ def oracle_two_pass(
         model, retained, keep_pos, causal_mask(keep_pos), n + 1, model.config.num_layers
     )
     return PrefillResult(
-        final,
-        None,
-        keep_pos,
-        phase_token_counts={"reference": int(keep_pos.size)},
-        diagnostics={"question_at_migration": fused_t.copy()},
+        final, None, keep_pos, diagnostics={"question_at_migration": fused_t.copy()}
     )

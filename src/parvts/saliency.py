@@ -35,32 +35,31 @@ class SaliencyScores:
 
 @dataclass(frozen=True)
 class Partition:
-    """Subject vs. non-subject visual-token index sets (visual-segment relative).
+    """One group label per visual token, in visual-token order.
 
-    Both index arrays are strictly increasing, disjoint, and together cover
-    0..num_visual-1. keep_count and pruning_rate derive from them.
+    Label 0 marks the subject group and 1 the non-subject group; the index
+    sets, keep_count and pruning_rate derive from the labels.
     """
 
-    subject_indices: np.ndarray
-    nonsubject_indices: np.ndarray
+    groups: np.ndarray
 
     def __post_init__(self):
-        sub = np.asarray(self.subject_indices, dtype=np.int64)
-        non = np.asarray(self.nonsubject_indices, dtype=np.int64)
-        if sub.size and not np.all(np.diff(sub) > 0):
-            raise InvalidArgumentError("subject indices must be strictly increasing")
-        if non.size and not np.all(np.diff(non) > 0):
-            raise InvalidArgumentError("nonsubject indices must be strictly increasing")
-        total = sub.size + non.size
-        merged = np.concatenate([sub, non])
-        if np.unique(merged).size != total or (total and merged.max() >= total):
-            raise InvalidArgumentError("index sets must partition 0..num_visual-1")
-        object.__setattr__(self, "subject_indices", sub)
-        object.__setattr__(self, "nonsubject_indices", non)
+        groups = np.asarray(self.groups)
+        if groups.ndim != 1 or not np.isin(groups, (0, 1)).all():
+            raise InvalidArgumentError("partition groups must be a 1-D array of 0s and 1s")
+        object.__setattr__(self, "groups", groups.astype(np.int64))
+
+    @property
+    def subject_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.groups == 0)
+
+    @property
+    def nonsubject_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.groups)
 
     @property
     def num_visual(self) -> int:
-        return self.subject_indices.size + self.nonsubject_indices.size
+        return self.groups.size
 
     @property
     def keep_count(self) -> int:
@@ -94,16 +93,15 @@ def toy_cls_attention(patch_embeddings, seed: int) -> SaliencyScores:
 
 
 def partition_topk(saliency: SaliencyScores, keep_count: int) -> Partition:
-    """Split indices into the keep_count most salient (ties keep the lower index)."""
+    """Label the keep_count most salient tokens 0, the rest 1 (ties keep the lower index)."""
     n = len(saliency)
     if keep_count < 0 or keep_count > n:
         raise InvalidArgumentError(
             f"keep_count {keep_count} outside [0, {n}]"
         )
-    order = np.argsort(-saliency.values, kind="stable")
-    subject = np.sort(order[:keep_count])
-    nonsubject = np.sort(order[keep_count:])
-    return Partition(subject_indices=subject, nonsubject_indices=nonsubject)
+    groups = np.ones(n, dtype=np.int64)
+    groups[np.argsort(-saliency.values, kind="stable")[:keep_count]] = 0
+    return Partition(groups)
 
 
 def load_saliency(path) -> SaliencyScores:

@@ -248,6 +248,9 @@ class TestCmdCost:
         assert main(["cost", "--n", "3", *shared]) == 0
         explicit_out = capsys.readouterr().out
         assert preset_out == explicit_out
+        # a preset overrides cost.n from --set or a config file; only --n conflicts
+        assert main(["cost", "--preset", "LLaVA-1.5-7B", "--set", "cost.n=5", *shared]) == 0
+        assert capsys.readouterr().out == explicit_out
 
     def test_unknown_preset(self, capsys):
         code = main(["cost", "--preset", "Mystery-1B"])
@@ -274,6 +277,11 @@ class TestCmdCost:
             (["cost", "--d", "0"],
              "error: prefill speedup undefined: the ParVTS prefill costs 0 FLOPs "
              "(d = 0 or L_text + L_img = 0)"),
+            (["cost", "--preset", "LLaVA-1.5-7B", "--n", "5"],
+             "error: --preset and --n both set the migration depth; pass one"),
+            (["sweep", "--out", "sweep.csv", "p=0.1,0.3", "p=0.2"],
+             "error: sweep axis 'p' given more than once"),
+            (["cost", "--N", "2"], "error: migration depth n = 3 outside [1, N = 2]"),
         ],
     )
     def test_negative_count_names_key(self, argv, message, tmp_path, monkeypatch, capsys):

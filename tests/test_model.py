@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,12 +49,18 @@ def small_config(**overrides):
     return ModelConfig(**base)
 
 
+def _weights(model):
+    """Every weight array: embedding, each layer's in field order, final gain, head."""
+    layers = [getattr(lw, f.name) for lw in model.layers for f in fields(lw)]
+    return [model.embedding, *layers, model.final_gain, model.lm_head]
+
+
 class TestBuildModel:
-    def test_deterministic_checksums(self):
+    def test_deterministic_weights(self):
         a = build_model(small_config())
         b = build_model(small_config())
-        assert a.parameter_checksum() == b.parameter_checksum()
-        np.testing.assert_array_equal(a.embedding, b.embedding)
+        for x, y in zip(_weights(a), _weights(b), strict=True):
+            np.testing.assert_array_equal(x, y)
 
     def test_parameter_count_formula(self):
         cfg = small_config()
@@ -61,7 +68,7 @@ class TestBuildModel:
         d, m, v, n = cfg.hidden_dim, cfg.mlp_dim, cfg.vocab_size, cfg.num_layers
         # embedding + per layer (4 d^2 attn + 3 d m mlp + 2 gains) + final gain + head
         expected = v * d + n * (4 * d * d + 3 * d * m + 2 * d) + d + d * v
-        assert model.parameter_count() == expected
+        assert sum(w.size for w in _weights(model)) == expected
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -502,12 +509,15 @@ class TestMasksAndCache:
 
     def test_layout_spans(self):
         layout = SequenceLayout.from_counts(2, 3, 4)
-        assert layout.system_span == (0, 2)
+        assert layout == SequenceLayout(num_system=2, num_visual=3, num_question=4)
         assert layout.visual_span == (2, 5)
-        assert layout.question_span == (5, 9)
-        assert layout.output_start == 9
-        with pytest.raises(InvalidArgumentError):
-            SequenceLayout((0, 2), (3, 5), (5, 9), 9)
+        assert layout.output_start == layout.total_prefill == 9
+        np.testing.assert_array_equal(layout.system_positions(), [0, 1])
+        np.testing.assert_array_equal(layout.visual_positions(), [2, 3, 4])
+        np.testing.assert_array_equal(layout.question_positions(), [5, 6, 7, 8])
+        for counts in ((-1, 3, 4), (2, -1, 4), (2, 3, -1)):
+            with pytest.raises(InvalidArgumentError, match="must be >= 0"):
+                SequenceLayout.from_counts(*counts)
 
 
 def _filled_cache(positions, num_layers=1):

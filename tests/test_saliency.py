@@ -131,28 +131,20 @@ class TestPartitionTopk:
 
 
 class TestPartitionInvariants:
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Partition(
-                subject_indices=np.array([0, 1]),
-                nonsubject_indices=np.array([1, 2]),
-            )
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Partition(
-                subject_indices=np.array([2, 0]),
-                nonsubject_indices=np.array([1]),
-            )
+    @pytest.mark.parametrize("groups", [[0, 2, 1], [0, -1], [0.5, 1], [[0, 1], [1, 0]], 0])
+    def test_labels_other_than_1d_zeros_and_ones_rejected(self, groups):
+        with pytest.raises(InvalidArgumentError, match="1-D array of 0s and 1s"):
+            Partition(np.array(groups))
 
     def test_counts_derive_from_index_sets(self):
-        part = Partition(
-            subject_indices=np.array([0, 1]),
-            nonsubject_indices=np.array([2, 3, 4, 5]),
-        )
+        part = Partition(np.array([1, 0, 1, 1, 0, 1]))
+        np.testing.assert_array_equal(part.subject_indices, [1, 4])
+        np.testing.assert_array_equal(part.nonsubject_indices, [0, 2, 3, 5])
+        assert part.subject_indices.dtype == part.nonsubject_indices.dtype == np.int64
+        assert part.num_visual == 6
         assert part.keep_count == 2
         assert part.pruning_rate == 1.0 - 2 / 6
-        assert Partition(subject_indices=np.arange(0), nonsubject_indices=np.arange(0)).pruning_rate == 0.0
+        assert Partition(np.zeros(0)).pruning_rate == 0.0
 
 
 class TestLoadSaliency:

@@ -108,10 +108,7 @@ class TestParvtsBatch:
 
     def test_reduction_to_vanilla(self):
         model, layout, ids, _ = make_setup()
-        all_kept = Partition(
-            subject_indices=np.arange(layout.num_visual),
-            nonsubject_indices=np.arange(0),
-        )
+        all_kept = Partition(np.zeros(layout.num_visual, dtype=np.int64))
         result = run_strategy(model, ids, layout, all_kept, batch_cfg(4, 0.0, 1.0))
         vanilla = run_vanilla(model, ids, layout)
         assert np.max(np.abs(result.hidden - vanilla.hidden)) <= 1e-9
@@ -263,10 +260,7 @@ class TestSequentialSchedules:
         model, layout, ids, partition = make_setup()
         cfg_a = ScheduleConfig(Strategy.SUBJECT_FIRST, 3, 0.5, 0.5, 1)
         cfg_b = ScheduleConfig(Strategy.NONSUBJECT_FIRST, 3, 0.5, 0.5, 1)
-        swapped = Partition(
-            subject_indices=partition.nonsubject_indices,
-            nonsubject_indices=partition.subject_indices,
-        )
+        swapped = Partition(1 - partition.groups)
         a = run_strategy(model, ids, layout, swapped, cfg_a)
         b = run_strategy(model, ids, layout, partition, cfg_b)
         np.testing.assert_array_equal(a.hidden, b.hidden)
@@ -440,7 +434,7 @@ class TestScheduleConfig:
     BAD_INPUTS = {
         "token_count": (lambda ids, part, cfg: (ids[:-1], part, cfg), "25 token ids"),
         "partition_span": (
-            lambda ids, part, cfg: (ids, Partition(np.arange(3), np.arange(3, 8)), cfg),
+            lambda ids, part, cfg: (ids, Partition(np.repeat([0, 1], [3, 5])), cfg),
             "partition size",
         ),
         "depth_0": (lambda ids, part, cfg: (ids, part, replace(cfg, migration_depth=0)),
