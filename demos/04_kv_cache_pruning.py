@@ -18,7 +18,6 @@ from parvts import (
     run_vanilla,
 )
 from parvts.harness import seeded_inputs
-from parvts.scheduler import nonsubject_positions
 
 model, layout, ids, saliency = seeded_inputs(
     ModelConfig(
@@ -46,7 +45,7 @@ result = run_strategy(
     model, ids, layout, partition,
     ScheduleConfig(Strategy.PARVTS_BATCH, migration_depth=2),
 )
-dropped = set(int(p) for p in nonsubject_positions(layout, partition))
+dropped = set(int(p) for p in layout.visual_span[0] + partition.nonsubject_indices)
 cached = set(int(p) for p in result.cache.all_positions())
 print("\nscheduled prefill cache entries per layer:", result.cache.entry_counts())
 print("non-subject positions:", sorted(dropped))

@@ -1,8 +1,9 @@
 """Line-oriented configuration files with dotted section paths.
 
 Format: one `section.key = value` per line, '#' starts a comment, blank
-lines are ignored. Unknown keys are rejected; missing keys take the
-defaults in SCHEMA, and `--set` style overrides win over the file.
+lines are ignored. Unknown and repeated keys are rejected; missing keys take
+the defaults in SCHEMA, and `--set` style overrides win over the file (the
+last of several overrides of one key wins).
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def _parse_value(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Raw key -> value strings; rejects unknown keys and malformed lines."""
+    """Raw key -> value strings; rejects unknown keys, repeated keys and malformed lines."""
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -69,7 +71,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in key_lines:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {key_lines[key]}")
+        values[key], key_lines[key] = value, lineno
     return values
 
 

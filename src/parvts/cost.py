@@ -14,6 +14,7 @@ visual group through the first n layers and the other through the rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidArgumentError
@@ -166,7 +167,8 @@ def speedup_decoding(params: CostParams) -> float:
 
 
 def cost_report(params: CostParams) -> CostReport:
-    return CostReport(
+    """The model's outputs; raises InvalidArgumentError naming the first non-finite one."""
+    report = CostReport(
         prefill_flops_vanilla=prefill_flops_vanilla(params),
         decoding_flops_vanilla=decoding_flops_vanilla(params),
         prefill_flops_parvts=prefill_flops_parvts(params),
@@ -174,6 +176,10 @@ def cost_report(params: CostParams) -> CostReport:
         rho_prefill=speedup_prefill(params),
         rho_decoding=speedup_decoding(params),
     )
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} = {value!r} is not finite")
+    return report
 
 
 def preset_migration_depths() -> tuple[tuple[str, str, int], ...]:

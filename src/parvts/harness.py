@@ -193,26 +193,27 @@ def decode_after(model: Model, result: PrefillResult, steps: int) -> list[int]:
 def _strategy_flops(
     strategy: Strategy, params: CostParams, partition: Partition
 ) -> tuple[float, float, float, float]:
-    """(prefill, decoding, rho_prefill, rho_decoding) for one strategy."""
+    """(prefill, decoding, rho_prefill, rho_decoding) for one strategy.
+
+    A strategy whose decoding costs 0 FLOPs (no decode steps) reports
+    rho_decoding = 1.0, whatever the strategy.
+    """
     if strategy is Strategy.VANILLA:
         pf, df = prefill_flops_vanilla(params), decoding_flops_vanilla(params)
         return pf, df, 1.0, 1.0
     if strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
-        return (
-            prefill_flops_parvts(params),
-            decoding_flops_parvts(params),
-            speedup_prefill(params),
-            speedup_decoding(params),
+        pf, df = prefill_flops_parvts(params), decoding_flops_parvts(params)
+        rho_p, decoding_ratio = speedup_prefill(params), speedup_decoding
+    else:
+        first = (
+            partition.keep_count if strategy is Strategy.SUBJECT_FIRST
+            else partition.nonsubject_indices.size
         )
-    first = (
-        partition.keep_count if strategy is Strategy.SUBJECT_FIRST
-        else partition.nonsubject_indices.size
-    )
-    pf = prefill_flops_sequential(params, first)
-    df = decoding_flops_sequential(params, first)
-    rho_p = prefill_flops_vanilla(params) / pf
-    rho_d = decoding_flops_vanilla(params) / df if df else 1.0
-    return pf, df, rho_p, rho_d
+        pf = prefill_flops_sequential(params, first)
+        df = decoding_flops_sequential(params, first)
+        rho_p = prefill_flops_vanilla(params) / pf
+        decoding_ratio = lambda p: decoding_flops_vanilla(p) / df
+    return pf, df, rho_p, decoding_ratio(params) if df else 1.0
 
 
 def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None = None) -> RunReport:

@@ -18,8 +18,10 @@ Five prefill schedules over the same toy decoder:
 
 The two ParVTS modes are one runner, `_run_parvts`, that differs only in
 layers j+1..n; with an empty visual group ParVTSBatch takes the masked pass.
-Both end with no cache entry at a pruned position. Rows keep their original
-positions throughout so attention geometry is identical across formulations.
+Both end with no cache entry at a pruned position. Every runner picks its
+rows, mask and cache drop from the partition's labels on the rows
+(`row_groups`). Rows keep their original positions throughout so attention
+geometry is identical across formulations.
 
 `run_strategy` is the one entry for a scheduled prefill: it validates the
 config and the inputs, embeds the ids once and runs the config's runner,
@@ -90,23 +92,26 @@ class PrefillResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def subject_positions(layout: SequenceLayout, partition: Partition) -> np.ndarray:
-    return layout.visual_span[0] + partition.subject_indices
+def row_groups(layout: SequenceLayout, partition: Partition) -> np.ndarray:
+    """The partition's label (0 or 1) on each visual row, -1 on system and question rows."""
+    groups = np.full(layout.output_start, -1, dtype=np.int64)
+    groups[slice(*layout.visual_span)] = partition.groups
+    return groups
 
 
-def nonsubject_positions(layout: SequenceLayout, partition: Partition) -> np.ndarray:
-    return layout.visual_span[0] + partition.nonsubject_indices
+def group_exclusive_mask(positions, groups) -> np.ndarray:
+    """Causal mask with rows labelled 0 and rows labelled 1 blocked from seeing each other.
 
-
-def group_exclusive_mask(positions, subject_pos, nonsubject_pos) -> np.ndarray:
-    """Causal mask with the two visual groups blocked from seeing each other.
-
-    Question rows (in neither group) keep full causal visibility over both.
+    `groups` holds one label per row, as `row_groups` gives them; rows in
+    neither group (system and question, labelled -1) keep full causal
+    visibility over both.
     """
     positions = np.asarray(positions, dtype=np.int64)
+    groups = np.asarray(groups)
+    if groups.shape != positions.shape:
+        raise InvalidArgumentError(f"{groups.size} group labels for {positions.size} rows")
     allowed = causal_mask(positions)
-    in_sub = np.isin(positions, subject_pos)
-    in_non = np.isin(positions, nonsubject_pos)
+    in_sub, in_non = groups == 0, groups == 1
     allowed &= ~((in_sub[:, None] & in_non) | (in_non[:, None] & in_sub))
     return allowed
 
@@ -132,13 +137,17 @@ def prune_cache(cache: KVCache, drop_positions) -> KVCache:
     return cache.drop_positions(drop)
 
 
-def _check_inputs(token_ids, layout, partition=None):
+def _check_inputs(token_ids, layout, partition=None, strategy=Strategy.VANILLA):
+    """The ids as int64; a partition is optional for Vanilla only."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size != layout.total_prefill:
         raise InvalidArgumentError(
             f"{ids.size} token ids for a layout of {layout.total_prefill}"
         )
-    if partition is not None and partition.num_visual != layout.num_visual:
+    if partition is None:
+        if strategy is not Strategy.VANILLA:
+            raise InvalidArgumentError(f"{strategy.value} needs a partition, got None")
+    elif partition.num_visual != layout.num_visual:
         raise InvalidArgumentError("partition size does not match the visual span")
     return ids
 
@@ -199,12 +208,8 @@ def _run_parvts(
     are recorded in `diagnostics`, and the retained rows run n+1..N.
     """
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
-
-    sub_pos = subject_positions(layout, partition)
-    non_pos = nonsubject_positions(layout, partition)
-    sys_pos = layout.system_positions()
-    q_pos = layout.question_positions()
-    num_sys, num_q = sys_pos.size, q_pos.size
+    groups = row_groups(layout, partition)
+    num_sys, num_q = layout.num_system, layout.num_question
 
     cache = model.new_cache()
     counts: dict[str, int] = {}
@@ -216,9 +221,8 @@ def _run_parvts(
     batch = cfg.strategy is Strategy.PARVTS_BATCH
     identity_diffs: list[float] = []
     diagnostics = {"system_identity_max_diff": identity_diffs} if batch else {}
-    if batch and sub_pos.size and non_pos.size:
-        positions = np.concatenate([sys_pos, sub_pos, q_pos])
-        branch_non_pos = np.concatenate([sys_pos, non_pos, q_pos])
+    if batch and 0 < partition.keep_count < partition.num_visual:
+        positions, branch_non_pos = np.flatnonzero(groups != 1), np.flatnonzero(groups != 0)
         hidden, h_non = hidden[positions], hidden[branch_non_pos]
         mask_sub, mask_non = causal_mask(positions), causal_mask(branch_non_pos)
         for layer in range(j + 1, n + 1):
@@ -228,18 +232,17 @@ def _run_parvts(
                 identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - hidden[:num_sys]))))
         counts["branch_nonsubject"] = int(branch_non_pos.size)
         counts["branch_subject"] = int(positions.size)
-        hidden[num_sys + sub_pos.size :] = fuse_question_states(
-            h_non[num_sys + non_pos.size :], hidden[num_sys + sub_pos.size :], cfg.alpha, cfg.beta
-        )
+        q_sub, q_non = positions.size - num_q, branch_non_pos.size - num_q
+        hidden[q_sub:] = fuse_question_states(h_non[q_non:], hidden[q_sub:], cfg.alpha, cfg.beta)
     elif n > j:
-        exclusive = group_exclusive_mask(positions, sub_pos, non_pos)
+        exclusive = group_exclusive_mask(positions, groups)
         hidden = run_layers(model, hidden, positions, (j + 1, n), exclusive, cache)
         counts["exclusive_mask"] = int(positions.size)
 
-    keep = ~np.isin(positions, non_pos)
+    keep = groups[positions] != 1
     positions, hidden = positions[keep], hidden[keep]
-    if non_pos.size:
-        cache = cache.drop_positions(non_pos)
+    if partition.keep_count < partition.num_visual:
+        cache = cache.drop_positions(np.flatnonzero(groups == 1))
     diagnostics.update(_at_migration(hidden, num_q))
     return _tail(model, hidden, positions, n, cache, counts, "continuation", diagnostics)
 
@@ -253,32 +256,25 @@ def _run_sequential(
 ) -> PrefillResult:
     """One visual group through layers 1..n, then the other through n+1..N.
 
-    SubjectFirst starts with the subject group, NonSubjectFirst with the other.
+    SubjectFirst starts with the subject group (label 0), NonSubjectFirst with
+    the other; each stage holds the system rows, its group and the question.
     """
-    groups = (subject_positions(layout, partition), nonsubject_positions(layout, partition))
+    n = cfg.migration_depth
+    first, second = (0, 1) if cfg.strategy is Strategy.SUBJECT_FIRST else (1, 0)
     names = ("subject_stage", "nonsubject_stage")
-    if cfg.strategy is Strategy.NONSUBJECT_FIRST:
-        groups, names = groups[::-1], names[::-1]
-    first_group_pos, second_group_pos = groups
-    sys_pos = layout.system_positions()
-    q_pos = layout.question_positions()
-    num_sys, num_q = sys_pos.size, q_pos.size
+    groups = row_groups(layout, partition)
+    stage1_pos, stage2_pos = np.flatnonzero(groups != second), np.flatnonzero(groups != first)
 
-    stage1_pos = np.concatenate([sys_pos, first_group_pos, q_pos])
     cache = model.new_cache()
     counts: dict[str, int] = {}
-    h1 = _causal_phase(
-        model, embedded[stage1_pos], stage1_pos, (1, cfg.migration_depth), cache, counts, names[0]
-    )
+    h1 = _causal_phase(model, embedded[stage1_pos], stage1_pos, (1, n), cache, counts, names[first])
 
     # ReplaceVision: swap the visual slots for the other group's embeddings
     # while the system and question hidden states persist.
-    stage2_pos = np.concatenate([sys_pos, second_group_pos, q_pos])
-    h2 = np.concatenate(
-        [h1[:num_sys], embedded[second_group_pos], h1[num_sys + first_group_pos.size :]]
-    )
-    diagnostics = _at_migration(h1, num_q)
-    return _tail(model, h2, stage2_pos, cfg.migration_depth, cache, counts, names[1], diagnostics)
+    h2 = embedded[stage2_pos]
+    h2[groups[stage2_pos] == -1] = h1[groups[stage1_pos] == -1]
+    diagnostics = _at_migration(h1, layout.num_question)
+    return _tail(model, h2, stage2_pos, n, cache, counts, names[second], diagnostics)
 
 
 _RUNNERS = {
@@ -299,7 +295,7 @@ def run_strategy(
 ) -> PrefillResult:
     """Validate cfg and the inputs, embed the ids once and run cfg.strategy's runner."""
     cfg.validate(model.config.num_layers)
-    ids = _check_inputs(token_ids, layout, partition)
+    ids = _check_inputs(token_ids, layout, partition, cfg.strategy)
     return _RUNNERS[cfg.strategy](model, embed(model, ids), layout, partition, cfg)
 
 

@@ -35,7 +35,7 @@ from .harness import (
 from .model import ModelConfig
 from .oracle import oracle_two_pass
 from .saliency import partition_topk
-from .scheduler import ScheduleConfig, Strategy, nonsubject_positions, run_strategy, run_vanilla
+from .scheduler import ScheduleConfig, Strategy, run_strategy, run_vanilla
 
 ORACLE_TOLERANCE = 1e-6
 SYSTEM_IDENTITY_TOLERANCE = 1e-12
@@ -224,7 +224,7 @@ def check_kv_cache_pruning(setup) -> CheckResult:
     failures = []
     for keep in (0, 4, layout.num_visual):
         partition = partition_topk(saliency, keep)
-        nonsubject = nonsubject_positions(layout, partition)
+        nonsubject = layout.visual_span[0] + partition.nonsubject_indices
         expected = layout.total_prefill - layout.num_visual + keep + decode_steps
         for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             name = strategy.value

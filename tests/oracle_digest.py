@@ -21,7 +21,7 @@ from parvts.harness import seeded_inputs
 from parvts.model import ModelConfig, embed
 from parvts.oracle import oracle_two_pass, reference_prefill, reference_run
 from parvts.saliency import partition_topk
-from parvts.scheduler import ScheduleConfig, Strategy, group_exclusive_mask
+from parvts.scheduler import ScheduleConfig, Strategy, group_exclusive_mask, row_groups
 
 from kernel_digest import update
 
@@ -58,10 +58,7 @@ def digest() -> str:
             update(sha, reference_prefill(model, ids))
 
             positions = np.arange(ids.size, dtype=np.int64)
-            lo = layout.visual_span[0]
-            mask = group_exclusive_mask(
-                positions, lo + partition.subject_indices, lo + partition.nonsubject_indices
-            )
+            mask = group_exclusive_mask(positions, row_groups(layout, partition))
             hidden = reference_run(model, embed(model, ids), positions, mask, 1, config.num_layers)
             update(sha, hidden)
     return sha.hexdigest()

@@ -67,6 +67,22 @@ class TestConfigFile:
         assert resolved["schedule.alpha"] == "0"
         assert resolved["schedule.beta"] == "1"
 
+    def test_repeated_key_names_both_lines(self):
+        text = "model.layers = 4\n# deeper\nmodel.layers = 6\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == "line 3: key 'model.layers' already set on line 1"
+
+    def test_repeated_key_in_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL_CONFIG + "model.layers = 6\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 14: key 'model.layers' already set on line 2\n"
+        )
+        assert not (tmp_path / "r.txt").exists()
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("model.layers\n")
@@ -282,6 +298,10 @@ class TestCmdCost:
             (["sweep", "--out", "sweep.csv", "p=0.1,0.3", "p=0.2"],
              "error: sweep axis 'p' given more than once"),
             (["cost", "--N", "2"], "error: migration depth n = 3 outside [1, N = 2]"),
+            (["cost", "--L_img", "1" + "0" * 200],
+             "error: prefill_flops_vanilla = inf is not finite"),
+            (["sweep", "--out", "sweep.csv", "d=1e300"],
+             "error: prefill_flops_vanilla = inf is not finite"),
         ],
     )
     def test_negative_count_names_key(self, argv, message, tmp_path, monkeypatch, capsys):

@@ -144,6 +144,16 @@ class TestRunExperiment:
             assert block.prefill_flops <= vanilla.prefill_flops
             assert block.rho_prefill >= 1.0
 
+    def test_zero_decode_steps_read_rho_decoding_one(self):
+        # 0 decoding FLOPs over 0 reads 1.0 in every block, closed form or not
+        report = run_experiment(experiment(decode_steps=0))
+        assert [block.strategy for block in report.blocks] == [s.value for s in ALL_STRATEGIES]
+        for block in report.blocks:
+            assert block.decoding_flops == 0.0
+            assert block.rho_decoding == 1.0
+        with_steps = run_experiment(experiment(decode_steps=1))
+        assert all(block.rho_decoding != 1.0 for block in with_steps.blocks[1:])
+
     def test_file_saliency_source(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("\n".join(str((i % 3) / 4) for i in range(8)) + "\n")

@@ -281,7 +281,7 @@ class TestAttentionGrouping:
         pos = np.array([0, 2, 3, 5, 7])[:rows]
         mask = causal_mask(pos)
         if masking == "group_exclusive":
-            mask = group_exclusive_mask(pos, pos[1:2], pos[2:4])
+            mask = group_exclusive_mask(pos, np.array([-1, 0, 1, 1, -1])[:rows])
         hidden = embed(model, synthesize_token_ids(model.config, rows))
         out = run_layers(model, hidden, pos, (1, 3), mask)
         expected = reference_run(model, hidden, pos, mask, 1, 3)
@@ -296,7 +296,7 @@ class TestAttentionGrouping:
         pos = np.array([0, 2, 3, 5, 7])[:rows]
         mask = causal_mask(pos)
         if masking == "group_exclusive":
-            mask = group_exclusive_mask(pos, pos[1:2], pos[2:4])
+            mask = group_exclusive_mask(pos, np.array([-1, 0, 1, 1, -1])[:rows])
         hidden = embed(model, synthesize_token_ids(model.config, rows))
         stacked = _kernel_outputs(model, hidden, pos, mask)
         monkeypatch.setattr(parvts.model, "_attention", _per_head_attention)
@@ -398,8 +398,10 @@ class TestTiledSoftmaxBits:
         mask = causal_mask(pos)
         if masking == "group_exclusive":
             # interleaved visual groups, as a saliency split leaves them
-            visual = pos[8:420]
-            mask = group_exclusive_mask(pos, visual[::3], np.setdiff1d(visual, visual[::3]))
+            groups = np.full(self.ROWS, -1)
+            groups[8:420] = 1
+            groups[8:420:3] = 0
+            mask = group_exclusive_mask(pos, groups)
         hidden = embed(model, synthesize_token_ids(model.config, self.ROWS))
         tiled = _kernel_outputs(model, hidden, pos, mask)
         if reference == "softmax":
@@ -484,7 +486,9 @@ class TestMasksAndCache:
     @pytest.mark.parametrize("rows", [5, SOFTMAX_UNTILED_ROWS + 1, 300])
     def test_validate_mask_returns_softmax_tiles(self, rows):
         pos = np.arange(rows) + 3
-        mask = group_exclusive_mask(pos, pos[2::3], pos[1::3])
+        groups = np.full(rows, -1)
+        groups[2::3], groups[1::3] = 0, 1
+        mask = group_exclusive_mask(pos, groups)
         assert validate_mask(mask, pos) == softmax_tiles(mask)
 
     @settings(deadline=None, max_examples=60)

@@ -10,11 +10,12 @@ from parvts.model import build_model, causal_mask, decode_step, ModelConfig, Seq
 from parvts.harness import seeded_inputs, synthesize_token_ids
 from parvts.numerics import SOFTMAX_UNTILED_ROWS, RngState, rms_norm, rope_apply, seeded_uniform
 from parvts.oracle import oracle_two_pass, reference_layer, reference_prefill, reference_run
-from parvts.saliency import partition_topk, toy_cls_attention
+from parvts.saliency import Partition, partition_topk, toy_cls_attention
 from parvts.scheduler import (
     ScheduleConfig,
     Strategy,
     group_exclusive_mask,
+    row_groups,
     run_strategy,
     run_vanilla,
 )
@@ -158,13 +159,44 @@ def staged_setup():
     return model, layout, ids, partition_topk(saliency, STAGED_KEEP)
 
 
+def hand_exclusive_mask(pos, sub_pos, non_pos):
+    """Causal mask over pos with the two position sets blocked from each other."""
+    mask = causal_mask(pos)
+    in_sub, in_non = np.isin(pos, sub_pos), np.isin(pos, non_pos)
+    mask[np.ix_(in_sub, in_non)] = False
+    mask[np.ix_(in_non, in_sub)] = False
+    return mask
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    system=st.integers(0, 4),
+    question=st.integers(0, 4),
+    labels=st.lists(st.integers(0, 1), min_size=0, max_size=40),
+)
+@example(system=0, question=2, labels=[0, 1, 1, 0, 1])  # no system rows
+@example(system=3, question=2, labels=[1, 1, 1, 1])  # no subject rows
+@example(system=2, question=1, labels=[0, 0, 0])  # no non-subject rows
+def test_group_exclusive_mask_equals_hand_built_mask(system, question, labels):
+    layout = SequenceLayout(system, len(labels), question)
+    partition = Partition(np.array(labels, dtype=np.int64))
+    pos = np.arange(layout.output_start)
+    lo = layout.visual_span[0]
+    expected = hand_exclusive_mask(
+        pos, lo + partition.subject_indices, lo + partition.nonsubject_indices
+    )
+    np.testing.assert_array_equal(
+        group_exclusive_mask(pos, row_groups(layout, partition)), expected
+    )
+
+
 def staged_masked(model, ids, layout, partition, n, j):
     """(retained positions, final hidden) of ParVTSMasked, layer range by layer range."""
     pos = np.arange(ids.size)
     sub_pos = layout.visual_span[0] + partition.subject_indices
     non_pos = layout.visual_span[0] + partition.nonsubject_indices
     hidden = reference_run(model, embed(model, ids), pos, causal_mask(pos), 1, j)
-    exclusive = group_exclusive_mask(pos, sub_pos, non_pos)
+    exclusive = hand_exclusive_mask(pos, sub_pos, non_pos)
     hidden = reference_run(model, hidden, pos, exclusive, j + 1, n)
     keep = ~np.isin(pos, non_pos)
     keep_pos = pos[keep]

@@ -9,6 +9,7 @@ from parvts.errors import InvalidArgumentError
 from parvts.harness import decode_after, seeded_inputs
 from parvts.model import (
     ModelConfig,
+    SequenceLayout,
     causal_mask,
     decode_step,
     embed,
@@ -24,12 +25,11 @@ from parvts.scheduler import (
     Strategy,
     fuse_question_states,
     group_exclusive_mask,
-    nonsubject_positions,
     _RUNNERS,
     prune_cache,
+    row_groups,
     run_strategy,
     run_vanilla,
-    subject_positions,
 )
 
 
@@ -48,6 +48,11 @@ def make_setup(num_layers=4, hidden_dim=32, num_visual=16, keep=6, seed=3):
     )
     partition = partition_topk(saliency, keep)
     return model, layout, ids, partition
+
+
+def positions_of(layout, indices):
+    """Sequence positions of the given visual-token indices."""
+    return layout.visual_span[0] + indices
 
 
 def batch_cfg(n, alpha=0.5, beta=0.5, j=1):
@@ -96,7 +101,7 @@ class TestParvtsBatch:
             model, embed(model, ids), full_pos, (1, j), causal_mask(full_pos)
         )
         pos_sub = np.concatenate(
-            [layout.system_positions(), subject_positions(layout, partition),
+            [layout.system_positions(), positions_of(layout, partition.subject_indices),
              layout.question_positions()]
         )
         h_sub = run_layers(
@@ -138,7 +143,7 @@ class TestParvtsBatch:
         model, layout, ids, partition = make_setup()
         result = run_strategy(model, ids, layout, partition, batch_cfg(3))
         cached = set(int(p) for p in result.cache.all_positions())
-        dropped = set(int(p) for p in nonsubject_positions(layout, partition))
+        dropped = set(int(p) for p in positions_of(layout, partition.nonsubject_indices))
         assert not cached & dropped
         assert result.cache.entry_counts() == [4 + 6 + 6] * 4
 
@@ -156,7 +161,7 @@ class TestParvtsBatch:
         model, layout, ids, partition = make_setup(keep=keep)
         pos = np.arange(layout.total_prefill)
         hidden = run_layers(model, embed(model, ids), pos, (1, n), causal_mask(pos))
-        kept = ~np.isin(pos, nonsubject_positions(layout, partition))
+        kept = ~np.isin(pos, positions_of(layout, partition.nonsubject_indices))
         expected = run_layers(
             model, hidden[kept], pos[kept], (n + 1, 4), causal_mask(pos[kept])
         )
@@ -222,11 +227,20 @@ class TestParvtsMasked:
 
     def test_exclusive_mask_blocks_both_directions(self):
         positions = np.arange(6)
-        mask = group_exclusive_mask(positions, np.array([1, 2]), np.array([3, 4]))
+        mask = group_exclusive_mask(positions, np.array([-1, 0, 0, 1, 1, -1]))
         assert not mask[3, 1] and not mask[4, 2]  # non -> sub blocked
         assert not mask[2, 3] and mask[2, 1]      # sub -> non blocked (causal anyway)
         assert mask[5, 1] and mask[5, 3]          # question sees both groups
         assert mask[3, 0] and mask[1, 0]          # both groups see earlier rows
+
+    def test_exclusive_mask_needs_one_label_per_row(self):
+        with pytest.raises(InvalidArgumentError, match="^1 group labels for 6 rows$"):
+            group_exclusive_mask(np.arange(6), np.array([0]))
+
+    def test_row_groups_labels_visual_rows_only(self):
+        layout = SequenceLayout(2, 4, 3)
+        groups = row_groups(layout, Partition(np.array([1, 0, 0, 1])))
+        np.testing.assert_array_equal(groups, [-1, -1, 1, 0, 0, 1, -1, -1, -1])
 
 
 class TestSequentialSchedules:
@@ -234,7 +248,7 @@ class TestSequentialSchedules:
         model, layout, ids, partition = make_setup()
         cfg = ScheduleConfig(Strategy.SUBJECT_FIRST, 4, 0.5, 0.5, 1)
         result = run_strategy(model, ids, layout, partition, cfg)
-        non_pos = nonsubject_positions(layout, partition)
+        non_pos = positions_of(layout, partition.nonsubject_indices)
         swapped = result.hidden[4 : 4 + non_pos.size]
         np.testing.assert_array_equal(swapped, embed(model, ids[non_pos]))
 
@@ -356,13 +370,14 @@ class TestPruneCache:
         # sequential schedules cache each visual group in some layers, so
         # only the parallel ones have positions pruned from every layer
         parallel = strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED)
-        pruned = nonsubject_positions(layout, partition) if parallel else ()
+        pruned = positions_of(layout, partition.nonsubject_indices) if parallel else ()
         result.cache.check_invariants(pruned)
         decode_after(model, result, 12)
         result.cache.check_invariants(pruned)
         if parallel:
+            sub_pos = positions_of(layout, partition.subject_indices)
             with pytest.raises(InvalidArgumentError, match="layer 0: pruned position cached"):
-                result.cache.check_invariants(subject_positions(layout, partition))
+                result.cache.check_invariants(sub_pos)
 
     def test_decode_equals_mask_blocked_forward(self):
         model, layout, ids, _ = make_setup(num_layers=3, hidden_dim=16, num_visual=8)
@@ -457,6 +472,19 @@ class TestScheduleConfig:
         token_ids, part, cfg = change(ids, partition, ScheduleConfig(strategy, 2, 0.5, 0.5, 1))
         with pytest.raises(InvalidArgumentError, match=f"^{message}"):
             run_strategy(model, token_ids, layout, part, cfg)
+
+    # Vanilla runs without a partition, so this case is not in BAD_INPUTS
+    @pytest.mark.parametrize("strategy", list(Strategy)[1:])
+    def test_missing_partition_names_the_strategy(self, strategy):
+        model, layout, ids, _ = make_setup()
+        cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)
+        with pytest.raises(InvalidArgumentError, match=f"^{strategy.value} needs a partition"):
+            run_strategy(model, ids, layout, None, cfg)
+
+    def test_vanilla_runs_without_a_partition(self):
+        model, layout, ids, _ = make_setup()
+        result = run_strategy(model, ids, layout, None, ScheduleConfig(Strategy.VANILLA, 2))
+        np.testing.assert_array_equal(result.hidden, run_vanilla(model, ids, layout).hidden)
 
 
 class TestOnePrefillPath:
