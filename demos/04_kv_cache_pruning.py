@@ -36,7 +36,7 @@ print(f"after dropping visual positions {drop.tolist()}:", pruned.entry_counts()
 print("surviving positions at layer 0:", pruned.positions(0).tolist())
 
 # Decoding over the pruned cache = decoding with those keys masked out.
-logits = decode_step(model, pruned, token_id=7, position=layout.total_prefill)
+logits = decode_step(model, pruned, token_id=7, position=layout.output_start)
 print(f"\nnext-token logits over the pruned cache: argmax = {int(np.argmax(logits))}")
 
 # A scheduled prefill prunes as it goes: non-subject positions never appear.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 import traceback
 import typing
@@ -128,7 +129,10 @@ def _parse_axis(spec: str) -> tuple[str, list]:
             start, stop, step = (float(x) for x in parts)
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
-            count = int((stop - start) / step + 1e-9) + 1
+            steps = (stop - start) / step
+            if not math.isfinite(steps):
+                raise ValueError(f"(stop - start) / step = {steps!r} is not finite")
+            count = int(steps + 1e-9) + 1
             values = [round(start + i * step, 12) for i in range(count)]
         else:
             values = [float(x) for x in body.split(",") if x.strip()]

@@ -10,6 +10,8 @@ variant runs n full-length layers and N - n layers at the reduced length
 L_text + (1 - p) * L_img; its decoding cost depends only on the reduced
 length, never on the migration depth. The sequential schedules run one
 visual group through the first n layers and the other through the rest.
+`schedule_cost` gives either schedule's costs and ratios against vanilla;
+with no decode steps (M = 0) its decoding ratio is 1.0.
 """
 
 from __future__ import annotations
@@ -110,10 +112,14 @@ def decoding_flops_vanilla(params: CostParams, mode: str = "closed") -> float:
     raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
+def _staged_prefill(params: CostParams, len1: float, len2: float) -> float:
+    """n layers over len1 rows, then N - n layers over len2 rows."""
+    d, m, n = params.d, params.m, params.n
+    return n * flops_layer(d, m, len1) + (params.N - n) * flops_layer(d, m, len2)
+
+
 def prefill_flops_parvts(params: CostParams) -> float:
-    full = flops_layer(params.d, params.m, params.L)
-    reduced = flops_layer(params.d, params.m, params.reduced_length)
-    return params.n * full + (params.N - params.n) * reduced
+    return _staged_prefill(params, params.L, params.reduced_length)
 
 
 def decoding_flops_parvts(params: CostParams) -> float:
@@ -128,9 +134,8 @@ def decoding_flops_parvts(params: CostParams) -> float:
 def prefill_flops_sequential(params: CostParams, first: int) -> float:
     """Sequential schedule: n layers over L_text + first rows (`first` visual
     tokens in stage 1), N - n over the L_text + L_img - first others."""
-    d, m, n, N = params.d, params.m, params.n, params.N
-    len1, len2 = params.L_text + first, params.L_text + (params.L_img - first)
-    return n * flops_layer(d, m, len1) + (N - n) * flops_layer(d, m, len2)
+    L_text = params.L_text
+    return _staged_prefill(params, L_text + first, L_text + (params.L_img - first))
 
 
 def decoding_flops_sequential(params: CostParams, first: int) -> float:
@@ -166,15 +171,32 @@ def speedup_decoding(params: CostParams) -> float:
     )
 
 
+def schedule_cost(params: CostParams, first: int | None = None) -> tuple[float, ...]:
+    """(prefill, decoding, rho_prefill, rho_decoding) of ParVTS, or with `first` of the
+    sequential schedule whose first stage holds `first` visual tokens. The ratios are
+    vanilla over the schedule; with no decode steps (M = 0) rho_decoding is 1.0."""
+    if first is None:
+        prefill, decoding = prefill_flops_parvts(params), decoding_flops_parvts(params)
+        rho_prefill = speedup_prefill(params)
+    else:
+        prefill = prefill_flops_sequential(params, first)
+        decoding = decoding_flops_sequential(params, first)
+        rho_prefill = prefill_flops_vanilla(params) / prefill
+    if params.M == 0:
+        rho_decoding = 1.0
+    elif first is None:
+        rho_decoding = speedup_decoding(params)
+    else:
+        rho_decoding = decoding_flops_vanilla(params) / decoding
+    return prefill, decoding, rho_prefill, rho_decoding
+
+
 def cost_report(params: CostParams) -> CostReport:
     """The model's outputs; raises InvalidArgumentError naming the first non-finite one."""
+    prefill, decoding, rho_prefill, rho_decoding = schedule_cost(params)
     report = CostReport(
-        prefill_flops_vanilla=prefill_flops_vanilla(params),
-        decoding_flops_vanilla=decoding_flops_vanilla(params),
-        prefill_flops_parvts=prefill_flops_parvts(params),
-        decoding_flops_parvts=decoding_flops_parvts(params),
-        rho_prefill=speedup_prefill(params),
-        rho_decoding=speedup_decoding(params),
+        prefill_flops_vanilla(params), prefill, decoding_flops_vanilla(params), decoding,
+        rho_prefill, rho_decoding,
     )
     for name, value in vars(report).items():
         if not math.isfinite(value):

@@ -15,17 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cost import (
-    CostParams,
-    decoding_flops_parvts,
-    decoding_flops_sequential,
-    decoding_flops_vanilla,
-    prefill_flops_parvts,
-    prefill_flops_sequential,
-    prefill_flops_vanilla,
-    speedup_decoding,
-    speedup_prefill,
-)
+from .cost import CostParams, decoding_flops_vanilla, prefill_flops_vanilla, schedule_cost
 from .errors import InvalidArgumentError, SaliencyFormatError
 from .model import (
     Model, ModelConfig, SequenceLayout, build_model, embed, greedy_decode, output_logits,
@@ -166,8 +156,8 @@ def seeded_inputs(
     other source is the path of a saliency file.
     """
     model = build_model(model_config)
-    layout = SequenceLayout.from_counts(num_system, num_visual, num_question)
-    ids = synthesize_token_ids(model_config, layout.total_prefill)
+    layout = SequenceLayout(num_system, num_visual, num_question)
+    ids = synthesize_token_ids(model_config, layout.output_start)
     if saliency_source == "toy":
         visual_ids = ids[layout.visual_span[0] : layout.visual_span[1]]
         saliency = toy_cls_attention(embed(model, visual_ids), model_config.master_seed)
@@ -193,27 +183,15 @@ def decode_after(model: Model, result: PrefillResult, steps: int) -> list[int]:
 def _strategy_flops(
     strategy: Strategy, params: CostParams, partition: Partition
 ) -> tuple[float, float, float, float]:
-    """(prefill, decoding, rho_prefill, rho_decoding) for one strategy.
-
-    A strategy whose decoding costs 0 FLOPs (no decode steps) reports
-    rho_decoding = 1.0, whatever the strategy.
-    """
+    """(prefill, decoding, rho_prefill, rho_decoding) for one strategy; a sequential
+    strategy costs the schedule whose first stage holds the group it runs first."""
     if strategy is Strategy.VANILLA:
-        pf, df = prefill_flops_vanilla(params), decoding_flops_vanilla(params)
-        return pf, df, 1.0, 1.0
+        return prefill_flops_vanilla(params), decoding_flops_vanilla(params), 1.0, 1.0
     if strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
-        pf, df = prefill_flops_parvts(params), decoding_flops_parvts(params)
-        rho_p, decoding_ratio = speedup_prefill(params), speedup_decoding
-    else:
-        first = (
-            partition.keep_count if strategy is Strategy.SUBJECT_FIRST
-            else partition.nonsubject_indices.size
-        )
-        pf = prefill_flops_sequential(params, first)
-        df = decoding_flops_sequential(params, first)
-        rho_p = prefill_flops_vanilla(params) / pf
-        decoding_ratio = lambda p: decoding_flops_vanilla(p) / df
-    return pf, df, rho_p, decoding_ratio(params) if df else 1.0
+        return schedule_cost(params)
+    if strategy is Strategy.SUBJECT_FIRST:
+        return schedule_cost(params, first=partition.keep_count)
+    return schedule_cost(params, first=partition.nonsubject_indices.size)
 
 
 def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None = None) -> RunReport:
@@ -238,23 +216,23 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
     def run_one(strategy: Strategy):
         cfg = replace(config.schedule, strategy=strategy)
         result = run_strategy(model, ids, layout, partition, cfg)
-        return cfg, result, decode_after(model, result, config.decode_steps)
+        return result, decode_after(model, result, config.decode_steps)
 
     # one run per strategy, Vanilla first: it is the comparison baseline even
     # when its block is not requested
     runs = {s: run_one(s) for s in dict.fromkeys((Strategy.VANILLA, *config.strategies))}
-    _, vanilla, vanilla_decoded = runs[Strategy.VANILLA]
+    vanilla, vanilla_decoded = runs[Strategy.VANILLA]
     vanilla_question = vanilla.hidden[-config.num_question :]
     parvts_modes = (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED)
     gap = None
     if all(mode in runs for mode in parvts_modes):
         gap = compare_states(
-            *(runs[mode][1].diagnostics["question_at_migration"] for mode in parvts_modes)
+            *(runs[mode][0].diagnostics["question_at_migration"] for mode in parvts_modes)
         )
 
     blocks: list[StrategyReport] = []
     for strategy in config.strategies:
-        cfg, result, decoded = runs[strategy]
+        result, decoded = runs[strategy]
         max_abs = compare_states(result.hidden[-config.num_question :], vanilla_question)
         agreement = (
             float(np.mean(np.array(decoded) == np.array(vanilla_decoded)))
@@ -266,9 +244,9 @@ def run_experiment(config: ExperimentConfig, config_echo: dict[str, str] | None 
         blocks.append(
             StrategyReport(
                 strategy=strategy.value,
-                n=cfg.migration_depth,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
+                n=config.schedule.migration_depth,
+                alpha=config.schedule.alpha,
+                beta=config.schedule.beta,
                 tokens_subject=int(partition.keep_count),
                 tokens_nonsubject=int(config.num_visual - partition.keep_count),
                 prefill_flops=pf,

@@ -75,7 +75,7 @@ class SequenceLayout:
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")
 
-    @classmethod
+    @classmethod  # alias kept only because bench/ reads it
     def from_counts(cls, num_system: int, num_visual: int, num_question: int):
         return cls(num_system, num_visual, num_question)
 
@@ -87,7 +87,7 @@ class SequenceLayout:
     def output_start(self) -> int:
         return self.num_system + self.num_visual + self.num_question
 
-    total_prefill = output_start
+    total_prefill = output_start  # alias kept only because bench/ reads it
 
     def system_positions(self) -> np.ndarray:
         return np.arange(self.num_system, dtype=np.int64)

@@ -140,10 +140,8 @@ def prune_cache(cache: KVCache, drop_positions) -> KVCache:
 def _check_inputs(token_ids, layout, partition=None, strategy=Strategy.VANILLA):
     """The ids as int64; a partition is optional for Vanilla only."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size != layout.total_prefill:
-        raise InvalidArgumentError(
-            f"{ids.size} token ids for a layout of {layout.total_prefill}"
-        )
+    if ids.size != layout.output_start:
+        raise InvalidArgumentError(f"{ids.size} token ids for a layout of {layout.output_start}")
     if partition is None:
         if strategy is not Strategy.VANILLA:
             raise InvalidArgumentError(f"{strategy.value} needs a partition, got None")

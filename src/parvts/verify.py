@@ -225,7 +225,7 @@ def check_kv_cache_pruning(setup) -> CheckResult:
     for keep in (0, 4, layout.num_visual):
         partition = partition_topk(saliency, keep)
         nonsubject = layout.visual_span[0] + partition.nonsubject_indices
-        expected = layout.total_prefill - layout.num_visual + keep + decode_steps
+        expected = layout.output_start - layout.num_visual + keep + decode_steps
         for strategy in (Strategy.PARVTS_BATCH, Strategy.PARVTS_MASKED):
             name = strategy.value
             cfg = ScheduleConfig(strategy, 2, 0.5, 0.5, 1)

@@ -302,6 +302,10 @@ class TestCmdCost:
              "error: prefill_flops_vanilla = inf is not finite"),
             (["sweep", "--out", "sweep.csv", "d=1e300"],
              "error: prefill_flops_vanilla = inf is not finite"),
+            (["sweep", "--out", "sweep.csv", "p=0:1:1e-320"],
+             "error: bad grid axis 'p=0:1:1e-320': (stop - start) / step = inf is not finite"),
+            (["sweep", "--out", "sweep.csv", "p=0:inf:1"],
+             "error: bad grid axis 'p=0:inf:1': (stop - start) / step = inf is not finite"),
         ],
     )
     def test_negative_count_names_key(self, argv, message, tmp_path, monkeypatch, capsys):

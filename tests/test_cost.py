@@ -15,6 +15,7 @@ from parvts.cost import (
     prefill_flops_parvts,
     prefill_flops_sequential,
     prefill_flops_vanilla,
+    schedule_cost,
     speedup_decoding,
     speedup_prefill,
 )
@@ -161,6 +162,38 @@ class TestSpeedups:
             )
             ratio = decoding_flops_vanilla(p) / decoding_flops_parvts(p)
             assert abs(speedup_decoding(p) - ratio) / ratio <= 1e-12
+
+
+class TestScheduleCost:
+    def test_report_parvts_half_is_schedule_cost(self):
+        for M in (0, 1, 7):
+            p = params(M=M)
+            report = cost_report(p)
+            assert schedule_cost(p) == (
+                report.prefill_flops_parvts,
+                report.decoding_flops_parvts,
+                report.rho_prefill,
+                report.rho_decoding,
+            )
+
+    def test_sequential_reads_its_formulas_over_vanilla(self):
+        p = params(M=5)
+        assert schedule_cost(p, first=1) == (
+            prefill_flops_sequential(p, 1),
+            decoding_flops_sequential(p, 1),
+            prefill_flops_vanilla(p) / prefill_flops_sequential(p, 1),
+            decoding_flops_vanilla(p) / decoding_flops_sequential(p, 1),
+        )
+
+    def test_parvts_ratios_are_the_speedups(self):
+        p = params(M=5)
+        assert schedule_cost(p)[2:] == (speedup_prefill(p), speedup_decoding(p))
+
+    @pytest.mark.parametrize("first", [None, 0, 1, 3])
+    def test_zero_decode_steps_read_rho_decoding_one(self, first):
+        _, decoding, _, rho_decoding = schedule_cost(params(M=0), first)
+        assert decoding == 0.0
+        assert rho_decoding == 1.0
 
 
 class TestMonotonicity:

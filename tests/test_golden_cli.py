@@ -8,7 +8,8 @@ flags, the printout order, the CSV columns and the `--L` consistency check.
 cli_verify.txt pins every check's verdict and printed figures; its figures
 date from before verify took its inputs and decodes from the harness. It
 gained one line each when the sweep's and the ratio fit's time budgets
-became checks of their own.
+became checks of their own. The two zero_decode files pin the one rule for
+M = 0: both decoding costs are 0.0 and rho_decoding is 1.0.
 """
 
 from pathlib import Path
@@ -40,6 +41,8 @@ CASES = {
         "n=1,3,16,32", "p=0.5,0.889",
     ),
     "cli_verify.txt": ("verify",),
+    "cli_cost_zero_decode.txt": ("cost", "--M", "0"),
+    "cli_sweep_zero_decode.txt": ("sweep", "--out", "sweep.csv", "M=0,1", "n=3,32"),
 }
 
 

@@ -130,7 +130,7 @@ class TestRunLayers:
         with pytest.raises(InvalidArgumentError, match="at least one row"):
             run_layers(model, embed(model, empty), empty, (1, 2), causal_mask(empty))
         with pytest.raises(InvalidArgumentError, match="at least one row"):
-            run_vanilla(model, empty, SequenceLayout.from_counts(0, 0, 0))
+            run_vanilla(model, empty, SequenceLayout(0, 0, 0))
 
     def test_fully_blocked_row_rejected(self):
         model = build_model(small_config())
@@ -521,7 +521,7 @@ class TestMasksAndCache:
         np.testing.assert_array_equal(layout.question_positions(), [5, 6, 7, 8])
         for counts in ((-1, 3, 4), (2, -1, 4), (2, 3, -1)):
             with pytest.raises(InvalidArgumentError, match="must be >= 0"):
-                SequenceLayout.from_counts(*counts)
+                SequenceLayout(*counts)
 
 
 def _filled_cache(positions, num_layers=1):
@@ -680,7 +680,7 @@ class TestCacheLayout:
         out = [result.hidden]
         token = int(np.argmax(output_logits(model, result.hidden[-1:])[0]))
         for step in range(self.STEPS):
-            out.append(decode_step(model, cache, token, layout.total_prefill + step))
+            out.append(decode_step(model, cache, token, layout.output_start + step))
             token = int(np.argmax(out[-1]))
         # every layer's capacity doubled at least twice during the steps
         assert all(cache._keys[layer].shape[0] >= 4 * first[layer] for layer in range(4))

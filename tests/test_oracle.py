@@ -155,7 +155,7 @@ def staged_setup():
         ),
         4, 200, 6,
     )
-    assert layout.total_prefill > SOFTMAX_UNTILED_ROWS
+    assert layout.output_start > SOFTMAX_UNTILED_ROWS
     return model, layout, ids, partition_topk(saliency, STAGED_KEEP)
 
 
@@ -281,8 +281,8 @@ def edges(draw):
 @example(Edge(system=0, visual=1, question=1, keep=0, layers=1, n=1, j=0))  # all at once
 def test_strategies_match_references_on_edge_layouts(edge):
     model = EDGE_MODELS[edge.layers]
-    layout = SequenceLayout.from_counts(edge.system, edge.visual, edge.question)
-    ids = synthesize_token_ids(model.config, layout.total_prefill)
+    layout = SequenceLayout(edge.system, edge.visual, edge.question)
+    ids = synthesize_token_ids(model.config, layout.output_start)
     lo, hi = layout.visual_span
     partition = partition_topk(toy_cls_attention(embed(model, ids[lo:hi]), 11), edge.keep)
     non_pos = lo + partition.nonsubject_indices

@@ -63,7 +63,7 @@ class TestVanilla:
     def test_equals_run_layers_definition(self):
         model, layout, ids, _ = make_setup()
         result = run_vanilla(model, ids, layout)
-        pos = np.arange(layout.total_prefill)
+        pos = np.arange(layout.output_start)
         direct = run_layers(
             model, embed(model, ids), pos, (1, 4), causal_mask(pos)
         )
@@ -72,7 +72,7 @@ class TestVanilla:
     def test_full_cache(self):
         model, layout, ids, _ = make_setup()
         result = run_vanilla(model, ids, layout)
-        assert result.cache.entry_counts() == [layout.total_prefill] * 4
+        assert result.cache.entry_counts() == [layout.output_start] * 4
 
     def test_matches_naive_reference(self):
         from parvts.oracle import reference_prefill
@@ -96,7 +96,7 @@ class TestParvtsBatch:
         result = run_strategy(model, ids, layout, partition, batch_cfg(n, 0.0, 1.0, j))
 
         # independent replay of the subject branch
-        full_pos = np.arange(layout.total_prefill)
+        full_pos = np.arange(layout.output_start)
         joint = run_layers(
             model, embed(model, ids), full_pos, (1, j), causal_mask(full_pos)
         )
@@ -159,7 +159,7 @@ class TestParvtsBatch:
         # with one group empty, both ParVTS modes are: every row causal
         # through layer n, then drop the non-subject rows and continue
         model, layout, ids, partition = make_setup(keep=keep)
-        pos = np.arange(layout.total_prefill)
+        pos = np.arange(layout.output_start)
         hidden = run_layers(model, embed(model, ids), pos, (1, n), causal_mask(pos))
         kept = ~np.isin(pos, positions_of(layout, partition.nonsubject_indices))
         expected = run_layers(
@@ -346,7 +346,7 @@ class TestPruneCache:
         model, layout, ids, _ = make_setup()
         cache = run_vanilla(model, ids, layout).cache
         pruned = prune_cache(cache, layout.visual_positions())
-        expected = layout.total_prefill - layout.num_visual
+        expected = layout.output_start - layout.num_visual
         assert pruned.entry_counts() == [expected] * 4
 
     def test_unknown_position_rejected(self):
@@ -384,7 +384,7 @@ class TestPruneCache:
         cache = run_vanilla(model, ids, layout).cache
         drop = layout.visual_positions()[1::2]
         pruned = prune_cache(cache, drop)
-        token, position = 11, layout.total_prefill
+        token, position = 11, layout.output_start
         got = decode_step(model, pruned, token, position)
         expected = _masked_decode_reference(model, cache, token, position, set(int(p) for p in drop))
         np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -514,7 +514,7 @@ class TestOnePrefillPath:
         else:
             run_strategy(model, ids, layout, partition, ScheduleConfig(strategy, 2, 0.5, 0.5, 1))
         assert len(embedded) == 1
-        assert embedded[0].size == layout.total_prefill
+        assert embedded[0].size == layout.output_start
         np.testing.assert_array_equal(embedded[0], ids)
 
     # case -> (strategy, keep count, n, j, phase_token_counts); 4 system,
