@@ -174,12 +174,18 @@ def speedup_decoding(params: CostParams) -> float:
 def schedule_cost(params: CostParams, first: int | None = None) -> tuple[float, ...]:
     """(prefill, decoding, rho_prefill, rho_decoding) of ParVTS, or with `first` of the
     sequential schedule whose first stage holds `first` visual tokens. The ratios are
-    vanilla over the schedule; with no decode steps (M = 0) rho_decoding is 1.0."""
+    vanilla over the schedule; with no decode steps (M = 0) rho_decoding is 1.0.
+    Raises InvalidArgumentError if the schedule's prefill costs 0 FLOPs."""
     if first is None:
         prefill, decoding = prefill_flops_parvts(params), decoding_flops_parvts(params)
         rho_prefill = speedup_prefill(params)
     else:
         prefill = prefill_flops_sequential(params, first)
+        if prefill == 0.0:
+            raise InvalidArgumentError(
+                "prefill speedup undefined: the sequential prefill costs 0 FLOPs (d = 0, or an "
+                f"empty first stage, L_text + first = {params.L_text + first}, and no rows "
+                "after it)")
         decoding = decoding_flops_sequential(params, first)
         rho_prefill = prefill_flops_vanilla(params) / prefill
     if params.M == 0:

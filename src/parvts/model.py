@@ -15,14 +15,15 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidMaskError
 from .numerics import (
+    SOFTMAX_UNTILED_ROWS,
     RngState,
+    _allowed_tiles,
     _rms_norm_rows,
     masked_softmax_rows,
     rms_norm_rows,
     rope_rotate_heads,
     rope_tables,
     seeded_uniform,
-    softmax_rows,
     softmax_tiles,
 )
 
@@ -322,10 +323,7 @@ def validate_mask(mask, positions) -> list[tuple[int, int, int, int]]:
         size = stop - start
         if end > stop or (mask[start:stop, start:stop] & above[:size, :size]).any():
             raise InvalidMaskError("mask allows attention to a future position")
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise InvalidMaskError(f"query row {bad} has no allowed key")
-    return tiles
+    return _allowed_tiles(mask, tiles)
 
 
 def validate_positions(positions, max_positions: int):
@@ -353,41 +351,27 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     """Per-head softmax(q k^T / sqrt(head_dim)) v under `mask` (None allows every key).
 
     q is (rows, heads, head_dim); keys and values are (keys, heads, head_dim);
-    `tiles` are softmax_tiles(mask) (None without a mask). Without a mask
-    (a decode step) every head goes through one softmax_rows call with its
-    score rows stacked, so the step has no mask to build or check; with a
-    mask each head keeps its own rows x keys score matrix and softmax call.
-    A group's scores, and then its AV products, come from one stacked
-    np.matmul over its heads, because at decode sizes (d = 64, one row)
-    numpy's per-call dispatch costs more than the products. A stacked matmul
-    still makes one BLAS call per head, with the shape and strides of a
-    per-head call, and the softmax runs in place on the score buffer. Query
-    rows are never split, so neither the grouping, the stacking nor the
-    softmax's row tiles change a bit. A decode step's keys and values are
-    KVCache views of head-major memory, so each head's K and V is one
-    contiguous block; the BLAS call is the one row-major storage would make
-    with another leading dimension, and its bits are the same.
+    `tiles` are softmax_tiles(mask). All heads form one group when
+    heads * rows <= SOFTMAX_UNTILED_ROWS (every decode step, small prefills),
+    else each head is its own group, so a large prefill holds one rows x keys
+    score matrix at a time. A group makes one stacked score matmul, one scale,
+    one in-place masked_softmax_rows call and one stacked AV matmul. A stacked
+    matmul makes the per-head BLAS call, and no row's softmax depends on the
+    rows beside it, so the grouping changes no bit.
     """
     rows, heads, head_dim = q.shape
-    num_keys = keys.shape[0]
-    scale = 1.0 / np.sqrt(head_dim)
-    group = heads if mask is None else 1
+    group = heads if heads * rows <= SOFTMAX_UNTILED_ROWS else 1
     # head-major views: (heads, rows, head_dim), (heads, head_dim, keys), (heads, keys, head_dim)
     q_heads = q.transpose(1, 0, 2)
     k_heads = keys.transpose(1, 2, 0)
     v_heads = values.transpose(1, 0, 2)
-    scores = np.empty((group, rows, num_keys))
+    scores = np.empty((group, rows, keys.shape[0]))
     ctx = np.empty((heads, rows, head_dim))
-    block = scores.reshape(group * rows, num_keys)
     for first in range(0, heads, group):
         members = slice(first, first + group)
         np.matmul(q_heads[members], k_heads[members], out=scores)
-        # one contiguous multiply beats scaling each tile's columns :end
-        block *= scale
-        if mask is None:
-            softmax_rows(block, out=block)
-        else:
-            masked_softmax_rows(block, mask, out=block, tiles=tiles)
+        scores *= 1.0 / np.sqrt(head_dim)
+        masked_softmax_rows(scores, mask, out=scores, tiles=tiles)
         np.matmul(scores, v_heads[members], out=ctx[members])
     return ctx.transpose(1, 0, 2)
 

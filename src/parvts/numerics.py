@@ -72,9 +72,9 @@ def _softmax_tile(tile, part):
     groups the terms by row length, so a sum over `part` alone would change
     bits.
     """
-    part -= part.max(axis=1, keepdims=True)
+    part -= part.max(axis=-1, keepdims=True)
     np.exp(part, out=part)
-    part /= tile.sum(axis=1, keepdims=True)
+    part /= tile.sum(axis=-1, keepdims=True)
 
 
 def softmax_tiles(mask) -> list[tuple[int, int, int, int]]:
@@ -103,19 +103,23 @@ def softmax_tiles(mask) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def softmax_rows(scores, out=None) -> np.ndarray:
-    """Row softmax over every entry, bit for bit masked_softmax_rows under an
-    all-true mask. `out` works as in masked_softmax_rows."""
-    scores = as_matrix(scores)
-    out = _output(scores, out)
-    _softmax_tile(out, out)
-    return out
+def _allowed_tiles(mask: np.ndarray, tiles=None) -> list[tuple[int, int, int, int]]:
+    """`tiles` (softmax_tiles(mask) when None) once every row of the boolean
+    `mask` has an allowed key; else raises InvalidMaskError naming the first
+    row that has none."""
+    allowed = np.logical_or.reduce(mask, axis=1)
+    if not allowed.all():
+        raise InvalidMaskError(f"query row {int(allowed.argmin())} has no allowed key")
+    return softmax_tiles(mask) if tiles is None else tiles
 
 
 def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
     """Row softmax over the allowed entries of `mask`; blocked entries are 0.
 
-    The result is written to `out` when one is given (a float64 array of the
+    `scores` is (..., rows, keys): the (rows, keys) `mask` and its tiles serve
+    every leading index alike, and a row's bits do not depend on how rows are
+    stacked. `mask=None` allows every entry: one tile and no -inf fill. The
+    result is written to `out` when one is given (a float64 array of the
     scores' shape, possibly `scores` itself), else to a new array; `scores`
     is only changed when it is `out`. Rows go in the tiles of
     softmax_tiles(mask), which a caller that has them passes as `tiles`; a
@@ -128,35 +132,30 @@ def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
     Raises InvalidMaskError if any row has no allowed entry; given `tiles`,
     the caller has checked that (validate_mask does).
     """
-    scores = as_matrix(scores)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise InvalidArgumentError(
-            f"mask shape {mask.shape} does not match scores shape {scores.shape}"
-        )
-    if tiles is None:
-        allowed = mask.any(axis=1)
-        if not allowed.all():
-            bad = int(np.flatnonzero(~allowed)[0])
-            raise InvalidMaskError(f"query row {bad} has no allowed key")
-        tiles = softmax_tiles(mask)
-    out = _output(scores, out)
-    for start, stop, lo, end in tiles:
-        tile = out[start:stop]
-        tile[:, end:] = 0.0
-        np.copyto(tile[:, lo:end], -np.inf, where=~mask[start:stop, lo:end])
-        _softmax_tile(tile, tile[:, :end])
-    return out
-
-
-def _output(scores, out) -> np.ndarray:
-    """`out` holding a copy of `scores` (a new array when `out` is None)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim < 2:
+        raise InvalidArgumentError(f"expected (..., rows, keys) scores, got shape {scores.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != scores.shape[-2:]:
+            raise InvalidArgumentError(
+                f"mask shape {mask.shape} does not match scores shape {scores.shape}"
+            )
+        tiles = _allowed_tiles(mask) if tiles is None else tiles
     if out is None:
-        return scores.copy()
-    if not isinstance(out, np.ndarray) or out.shape != scores.shape or out.dtype != np.float64:
+        out = scores.copy()
+    elif not isinstance(out, np.ndarray) or out.shape != scores.shape or out.dtype != np.float64:
         raise InvalidArgumentError(f"out must be a float64 array of shape {scores.shape}")
-    if out is not scores:
+    elif out is not scores:
         np.copyto(out, scores)
+    if mask is None:
+        _softmax_tile(out, out)
+        return out
+    for start, stop, lo, end in tiles:
+        tile = out[..., start:stop, :]
+        tile[..., end:] = 0.0
+        np.copyto(tile[..., lo:end], -np.inf, where=~mask[start:stop, lo:end])
+        _softmax_tile(tile, tile[..., :end])
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SaliencyFormatError
-from .numerics import RngState, as_matrix, seeded_uniform, softmax_rows
+from .numerics import RngState, as_matrix, masked_softmax_rows, seeded_uniform
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def toy_cls_attention(patch_embeddings, seed: int) -> SaliencyScores:
     w_key = seeded_uniform(rng, dim, dim, scale)
     keys = patches @ w_key
     scores = (query @ keys.T) / np.sqrt(dim)
-    weights = softmax_rows(scores)
+    weights = masked_softmax_rows(scores, None)
     return SaliencyScores(weights[0])
 
 

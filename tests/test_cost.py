@@ -195,6 +195,15 @@ class TestScheduleCost:
         assert decoding == 0.0
         assert rho_decoding == 1.0
 
+    def test_sequential_zero_prefill_names_the_empty_first_stage(self):
+        p = CostParams(p=0.5, n=4, N=4, L_text=0, L_img=3, M=1, d=2, m=3)
+        with pytest.raises(InvalidArgumentError, match=r"sequential prefill costs 0 FLOPs .*"
+                           r"empty first stage, L_text \+ first = 0,"):
+            schedule_cost(p, first=0)
+        assert schedule_cost(p, first=1)[0] > 0.0
+        with pytest.raises(InvalidArgumentError, match="sequential prefill costs 0 FLOPs"):
+            schedule_cost(params(d=0, M=2), first=1)
+
 
 class TestMonotonicity:
     def test_prefill_speedup_at_least_one(self):

@@ -243,32 +243,20 @@ def _kernel_outputs(model, hidden, pos, mask):
 
 
 def _per_head_attention(q, keys, values, mask, tiles):
-    """Reference for _attention: one score and one AV matmul per head, in a Python loop.
-
-    It scales every column, leaves masked_softmax_rows to find its own tiles,
-    and runs decode steps under an all-true mask.
-    """
-    rows, heads, head_dim = q.shape
-    scale = 1.0 / np.sqrt(head_dim)
-    group = heads if mask is None else 1
-    if mask is None:
-        mask = np.ones((group * rows, keys.shape[0]), dtype=bool)
-    scores = np.empty((group * rows, keys.shape[0]))
+    """Reference for _attention: one score, softmax and AV call per head, in a Python
+    loop; it scales every column and leaves masked_softmax_rows to find its own tiles."""
     ctx = np.empty(q.shape)
-    for first in range(0, heads, group):
-        members = range(first, min(first + group, heads))
-        block = scores[: len(members) * rows]
-        for i, head in enumerate(members):
-            np.matmul(q[:, head, :], keys[:, head, :].T, out=block[i * rows : (i + 1) * rows])
-        block *= scale
-        parvts.model.masked_softmax_rows(block, mask[: block.shape[0]], out=block)
-        for i, head in enumerate(members):
-            ctx[:, head, :] = block[i * rows : (i + 1) * rows] @ values[:, head, :]
+    for head in range(q.shape[1]):
+        scores = q[:, head, :] @ keys[:, head, :].T
+        scores *= 1.0 / np.sqrt(q.shape[2])
+        parvts.model.masked_softmax_rows(scores, mask, out=scores)
+        ctx[:, head, :] = scores @ values[:, head, :]
     return ctx
 
 
 class TestAttentionGrouping:
-    """A decode step puts every head through one softmax call; a masked call, one per head.
+    """All heads share one softmax call while heads * rows <= SOFTMAX_UNTILED_ROWS
+    (every decode step, small prefills); past that each head makes its own.
 
     Each call computes the rotary tables once and rotates and appends once per layer.
     """
@@ -291,7 +279,7 @@ class TestAttentionGrouping:
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
     def test_stacked_heads_match_per_head_loop(self, monkeypatch, heads, rows, masking):
-        # the decode steps stack 8, 4 or 2 heads into one softmax call
+        # the prefill and the decode steps stack 8, 4 or 2 heads into one softmax call
         model = build_model(small_config(hidden_dim=4 * heads, num_heads=heads, num_layers=3))
         pos = np.array([0, 2, 3, 5, 7])[:rows]
         mask = causal_mask(pos)
@@ -321,11 +309,10 @@ class TestAttentionGrouping:
         cache = model.new_cache()
         pos = np.arange(5)
         run_layers(model, embed(model, [1, 2, 3, 4, 5]), pos, (1, 3), causal_mask(pos), cache)
-        calls = self._count_calls(monkeypatch, "softmax_rows")
-        masked_calls = self._count_calls(monkeypatch)
+        calls = self._count_calls(monkeypatch)
+        masks = self._count_calls(monkeypatch, arg=1)
         decode_step(model, cache, 6, 5)
-        assert calls == [(4, 6)] * 3
-        assert masked_calls == []
+        assert calls == [(4, 1, 6)] * 3 and masks == [()] * 3  # no mask: np.shape(None)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6])
     def test_run_layers_calls_per_layer(self, monkeypatch, rows):
@@ -333,7 +320,19 @@ class TestAttentionGrouping:
         pos = np.arange(rows)
         calls = self._count_calls(monkeypatch)
         run_layers(model, embed(model, np.arange(rows) + 1), pos, (1, 3), causal_mask(pos))
-        assert calls == [(rows, rows)] * (4 * 3)  # one call per head per layer
+        assert calls == [(4, rows, rows)] * 3
+
+    def test_large_prefill_makes_one_call_per_head(self, monkeypatch):
+        model = build_model(
+            small_config(hidden_dim=16, num_heads=4, num_layers=3, max_positions=64)
+        )
+        rows = 60
+        assert 4 * rows > SOFTMAX_UNTILED_ROWS
+        pos = np.arange(rows)
+        calls = self._count_calls(monkeypatch)
+        hidden = embed(model, synthesize_token_ids(model.config, rows))
+        run_layers(model, hidden, pos, (1, 3), causal_mask(pos))
+        assert calls == [(1, rows, rows)] * (4 * 3)
 
     def test_rotary_tables_once_per_call(self, monkeypatch):
         model = build_model(small_config(hidden_dim=16, num_heads=4, num_layers=3))
@@ -355,26 +354,20 @@ class TestAttentionGrouping:
 
 
 def _two_pass_softmax(scores, mask, out=None, tiles=None):
-    """masked_softmax_rows as one untiled pass over every column; `tiles` is ignored."""
-    neg = np.where(mask, scores, -np.inf)
-    expd = np.exp(neg - neg.max(axis=1, keepdims=True))
-    weights = expd / expd.sum(axis=1, keepdims=True)
+    """masked_softmax_rows as one untiled pass over every column (mask=None allows
+    every entry); `tiles` is ignored."""
+    neg = scores if mask is None else np.where(mask, scores, -np.inf)
+    expd = np.exp(neg - neg.max(axis=-1, keepdims=True))
+    weights = expd / expd.sum(axis=-1, keepdims=True)
     if out is None:
         return weights
     out[...] = weights
     return out
 
 
-def _two_pass_unmasked_softmax(scores, out=None):
-    """softmax_rows as _two_pass_softmax under an all-true mask."""
-    return _two_pass_softmax(scores, np.ones(np.shape(scores), dtype=bool), out=out)
-
-
 def _full_width_attention(q, keys, values, mask, tiles):
     """Per-head attention over every key: full score and AV products, untiled softmax."""
     rows, heads, head_dim = q.shape
-    if mask is None:
-        mask = np.ones((rows, keys.shape[0]), dtype=bool)
     ctx = np.empty(q.shape)
     for head in range(heads):
         scores = q[:, head, :] @ keys[:, head, :].T
@@ -406,7 +399,6 @@ class TestTiledSoftmaxBits:
         tiled = _kernel_outputs(model, hidden, pos, mask)
         if reference == "softmax":
             monkeypatch.setattr(parvts.model, "masked_softmax_rows", _two_pass_softmax)
-            monkeypatch.setattr(parvts.model, "softmax_rows", _two_pass_unmasked_softmax)
         else:
             monkeypatch.setattr(parvts.model, "_attention", _full_width_attention)
         untiled = _kernel_outputs(model, hidden, pos, mask)

@@ -19,7 +19,6 @@ from parvts.numerics import (
     rope_rotate_heads,
     rope_tables,
     seeded_uniform,
-    softmax_rows,
     softmax_tiles,
 )
 
@@ -218,26 +217,66 @@ class TestSoftmaxTiles:
         assert np.array_equal(out, masked_softmax_rows(scores, mask))
 
 
-class TestUnmaskedSoftmax:
+def _grouped_mask(rows, cols):
+    """Causal over the last `rows` of `cols` positions, split into two exclusive groups."""
+    mask = _random_mask(None, rows, cols, "causal", 1.0)
+    groups = np.arange(cols) % 3 - 1  # -1 shared, 0 and 1 exclusive
+    return mask & ~((groups[-rows:, None] + groups[None, :] == 1) & (groups[None, :] >= 0))
+
+
+class TestUnmaskedAndStackedSoftmax:
+    """mask=None is the all-true mask, and stacked (heads, rows, keys) scores
+    are the per-head 2-D calls."""
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(1, 260), st.integers(1, 300), st.floats(1e-3, 1e3), st.integers(0, 2**16 - 1)
     )
     @example(SOFTMAX_UNTILED_ROWS + 1, 64, 10.0, 0)
-    def test_equals_masked_softmax_under_all_true_mask(self, rows, cols, spread, seed):
+    def test_none_mask_equals_all_true_mask(self, rows, cols, spread, seed):
         gen = np.random.Generator(np.random.Philox(key=[seed, 4]))
         scores = gen.uniform(-spread, spread, size=(rows, cols))
         before = scores.copy()
         expected = masked_softmax_rows(scores, np.ones((rows, cols), dtype=bool))
-        assert np.array_equal(softmax_rows(scores), expected)
+        assert np.array_equal(masked_softmax_rows(scores, None), expected)
         assert np.array_equal(scores, before)
-        assert softmax_rows(scores, out=scores) is scores
+        out = np.empty_like(scores)
+        assert masked_softmax_rows(scores, None, out=out) is out
+        assert np.array_equal(out, expected)
+        assert masked_softmax_rows(scores, None, out=scores) is scores
         assert np.array_equal(scores, expected)
 
-    def test_out_must_match_scores(self):
-        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32), [[0.0] * 3] * 2):
+    @pytest.mark.parametrize("mask", [None, np.ones((2, 3), dtype=bool)])
+    def test_out_must_match_scores(self, mask):
+        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32), [[0.0] * 3] * 2,
+                    np.empty((1, 2, 3))):
             with pytest.raises(InvalidArgumentError):
-                softmax_rows(np.zeros((2, 3)), out=out)
+                masked_softmax_rows(np.zeros((2, 3)), mask, out=out)
+
+    def test_scores_need_rows_and_keys(self):
+        for mask in (None, np.ones((1, 3), dtype=bool)):
+            with pytest.raises(InvalidArgumentError, match="rows, keys"):
+                masked_softmax_rows(np.zeros(3), mask)
+
+    def test_mask_must_match_the_last_two_axes(self):
+        with pytest.raises(InvalidArgumentError, match="mask shape"):
+            masked_softmax_rows(np.zeros((2, 3, 4)), np.ones((2, 3), dtype=bool))
+
+    # row counts on both sides of SOFTMAX_UNTILED_ROWS: one tile, then 64-row tiles
+    @pytest.mark.parametrize("rows, cols", [(1, 7), (5, 9), (48, 48), (SOFTMAX_UNTILED_ROWS, 200),
+                                            (SOFTMAX_UNTILED_ROWS + 1, 193), (300, 320)])
+    @pytest.mark.parametrize("masking", ["causal", "group_exclusive", "none"])
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_stacked_heads_equal_per_head_calls(self, rows, cols, masking, heads):
+        gen = np.random.Generator(np.random.Philox(key=[rows * cols, 5]))
+        scores = gen.uniform(-20, 20, size=(heads, rows, cols))
+        mask = {"causal": _random_mask(None, rows, cols, "causal", 1.0),
+                "group_exclusive": _grouped_mask(rows, cols), "none": None}[masking]
+        expected = np.stack([masked_softmax_rows(head, mask) for head in scores])
+        assert np.array_equal(masked_softmax_rows(scores, mask), expected)
+        tiles = None if mask is None else softmax_tiles(mask)
+        assert masked_softmax_rows(scores, mask, out=scores, tiles=tiles) is scores
+        assert np.array_equal(scores, expected)
 
 
 class TestRmsNorm:
