@@ -21,6 +21,11 @@ ROPE_THETA_BASE = 10000.0
 # the skipped columns save (a causal 192 x 192 call breaks even).
 SOFTMAX_TILE_ROWS = 64
 SOFTMAX_UNTILED_ROWS = 3 * SOFTMAX_TILE_ROWS
+# From this many rows a tiled call hands its later tiles to a second core;
+# below it the hand-off saves little or costs time (a causal call of 256 rows
+# ran 16 % slower split). Tiles read no row but their own, so the split moves
+# no bit.
+SOFTMAX_PARALLEL_ROWS = 512
 
 
 @dataclass
@@ -124,10 +129,12 @@ def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
     is only changed when it is `out`. Rows go in the tiles of
     softmax_tiles(mask), which a caller that has them passes as `tiles`; a
     tile's work stops at its `end` column, the columns past it are written as
-    0, and the -inf fill of blocked entries starts at its `lo` column. The
-    result equals the untiled formula bit for bit. A row whose allowed scores
-    are all -inf, or hold NaN or +inf, is NaN up to its tile's `end` and 0
-    past it.
+    0, and the -inf fill of blocked entries starts at its `lo` column. A call
+    of SOFTMAX_PARALLEL_ROWS rows or more, on a host with two cores, runs its
+    later tiles on a worker thread while the caller runs the earlier ones;
+    no tile reads another's rows, so that moves no bit. The result equals
+    the untiled formula bit for bit. A row whose allowed scores are all
+    -inf, or hold NaN or +inf, is NaN up to its tile's `end` and 0 past it.
 
     Raises InvalidMaskError if any row has no allowed entry; given `tiles`,
     the caller has checked that (validate_mask does).
@@ -150,13 +157,117 @@ def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
         np.copyto(out, scores)
     if mask is None:
         _softmax_tile(out, out)
-        return out
+    elif scores.shape[-2] >= SOFTMAX_PARALLEL_ROWS and len(tiles) > 1:
+        _masked_tiles_on_two_cores(out, mask, tiles)
+    else:
+        _masked_tiles(out, mask, tiles)
+    return out
+
+
+def _masked_tiles(out, mask, tiles) -> None:
+    """masked_softmax_rows's work on `tiles`, in place on their rows of `out`."""
     for start, stop, lo, end in tiles:
         tile = out[..., start:stop, :]
         tile[..., end:] = 0.0
         np.copyto(tile[..., lo:end], -np.inf, where=~mask[start:stop, lo:end])
         _softmax_tile(tile, tile[..., :end])
-    return out
+
+
+# The tile worker: None until a call of SOFTMAX_PARALLEL_ROWS rows first needs
+# it, then False on one core, else the function that hands it tiles.
+_worker = None
+_fork_reset_registered = False
+
+
+def _masked_tiles_on_two_cores(out, mask, tiles) -> None:
+    """_masked_tiles, with the tiles split into two contiguous runs of about
+    equal work (rows times `end`): the tile worker runs the second run while
+    the caller runs the first. On one core, or while another thread uses the
+    worker, the caller runs every tile."""
+    worker = _start_worker() if _worker is None else _worker
+    work = np.cumsum([(stop - start) * end for start, stop, _, end in tiles])
+    split = int(np.abs(2 * work[:-1] - work[-1]).argmin()) + 1
+    if worker is False or not worker(out, mask, tiles[:split], tiles[split:]):
+        _masked_tiles(out, mask, tiles)
+
+
+def _start_worker():
+    """The tile worker's hand-off function, or False when this process may
+    run on one core only; the first call starts the worker thread.
+
+    os and threading are imported here, not at module load, so that a process
+    that never makes a call of SOFTMAX_PARALLEL_ROWS rows runs none of this.
+    """
+    import os
+    import threading
+
+    global _worker
+    # setdefault is atomic, so threads making their first call at once share one lock
+    with globals().setdefault("_start_lock", threading.Lock()):
+        if _worker is None:
+            # a platform that cannot say which cores this process may use gets no worker
+            cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+            _worker = _new_worker() if len(cores) >= 2 else False
+    return _worker
+
+
+def _new_worker():
+    """Start a tile worker thread and return the function that hands it tiles.
+
+    A child made by os.fork() has no worker thread, so it forgets the parent's
+    and starts its own on its first call of SOFTMAX_PARALLEL_ROWS rows.
+    """
+    import os
+    import threading
+
+    global _fork_reset_registered
+    if not _fork_reset_registered:
+        os.register_at_fork(after_in_child=_forget_worker)
+        _fork_reset_registered = True
+    start, done, busy = threading.Lock(), threading.Lock(), threading.Lock()
+    start.acquire()
+    done.acquire()
+    job = []
+
+    def serve():
+        # keeps no reference to the job's arrays once done: one held until
+        # the next call kept two score buffers alive (+20 MB peak RSS at
+        # L = 1248)
+        while True:
+            start.acquire()
+            try:
+                _masked_tiles(*job)
+                job.clear()
+            except BaseException as exc:  # raised again in the caller
+                job[:] = [exc]
+            done.release()
+
+    def hand_off(out, mask, mine, theirs) -> bool:
+        """Run `theirs` on the worker and `mine` here; once both are done,
+        raise the caller's error, else the worker's. False, having run
+        nothing, while another thread holds the worker."""
+        if not busy.acquire(blocking=False):
+            return False
+        job[:] = (out, mask, theirs)
+        start.release()
+        try:
+            _masked_tiles(out, mask, mine)
+        finally:
+            done.acquire()
+            error = job.pop() if job else None
+            busy.release()
+        if error is not None:
+            raise error
+        return True
+
+    threading.Thread(target=serve, name="parvts-softmax-tiles", daemon=True).start()
+    return hand_off
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+    globals().pop("_start_lock", None)  # another thread may have held it
 
 
 def rms_norm(x, gain) -> np.ndarray:

@@ -10,7 +10,8 @@ tokens and a joint prefix as deep as the migration layer. The last migrates
 at the last layer (n = N), so no layer runs after the migration step.
 
 Run `python tests/kernel_digest.py` with `src` on the path to print the
-digest. tests/data/kernel_sha256.txt holds the value under one BLAS thread.
+digest. tests/data/kernel_sha256.txt holds the value under one BLAS thread,
+tests/data/kernel_sha256_two_blas_threads.txt the value under two.
 """
 
 from __future__ import annotations

@@ -404,6 +404,26 @@ class TestTiledSoftmaxBits:
         untiled = _kernel_outputs(model, hidden, pos, mask)
         assert all(np.array_equal(a, b) for a, b in zip(tiled, untiled))
 
+    @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
+    def test_two_core_split_changes_no_bit(self, monkeypatch, masking):
+        rows = 600  # past SOFTMAX_PARALLEL_ROWS, where the tile worker takes the later tiles
+        model = build_model(
+            small_config(hidden_dim=16, num_heads=2, num_layers=2, max_positions=rows + 4)
+        )
+        pos = np.arange(rows)
+        mask = causal_mask(pos)
+        if masking == "group_exclusive":
+            groups = np.full(rows, -1)
+            groups[8:560] = 1
+            groups[8:560:3] = 0
+            mask = group_exclusive_mask(pos, groups)
+        hidden = embed(model, synthesize_token_ids(model.config, rows))
+        split = _kernel_outputs(model, hidden, pos, mask)
+        monkeypatch.setattr(parvts.numerics, "SOFTMAX_PARALLEL_ROWS", 10**9)
+        one_thread = _kernel_outputs(model, hidden, pos, mask)
+        assert len(split) == len(one_thread) == 1 + 3 + 2 * model.config.num_layers
+        assert all(np.array_equal(a, b) for a, b in zip(split, one_thread))
+
 
 class TestGreedyDecode:
     def test_zero_steps(self):

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parvts.numerics
 from parvts.errors import InvalidArgumentError, InvalidMaskError
 from parvts.numerics import (
     RMS_NORM_EPS,
     ROPE_THETA_BASE,
+    SOFTMAX_PARALLEL_ROWS,
     SOFTMAX_TILE_ROWS,
     SOFTMAX_UNTILED_ROWS,
     RngState,
@@ -21,6 +29,7 @@ from parvts.numerics import (
     seeded_uniform,
     softmax_tiles,
 )
+from parvts.scheduler import group_exclusive_mask
 
 
 class TestMatmul:
@@ -111,6 +120,7 @@ class TestMaskedSoftmax:
     @example(200, 300, "causal_holes", 10.0, 0)
     @example(330, 330, "causal", 10.0, 1)
     @example(257, 120, "random", 10.0, 2)
+    @example(SOFTMAX_PARALLEL_ROWS + 37, SOFTMAX_PARALLEL_ROWS + 50, "causal_holes", 10.0, 3)
     def test_equals_two_pass_formula_and_keeps_scores(self, rows, cols, masking, spread, seed):
         gen = np.random.Generator(np.random.Philox(key=[seed, 1]))
         scores = gen.uniform(-spread, spread, size=(rows, cols))
@@ -277,6 +287,174 @@ class TestUnmaskedAndStackedSoftmax:
         tiles = None if mask is None else softmax_tiles(mask)
         assert masked_softmax_rows(scores, mask, out=scores, tiles=tiles) is scores
         assert np.array_equal(scores, expected)
+
+
+WORKER = "parvts-softmax-tiles"
+TWO_CORES = len(os.sched_getaffinity(0)) >= 2
+needs_two_cores = pytest.mark.skipif(not TWO_CORES, reason="the tile worker needs two cores")
+
+
+def _one_thread(call):
+    """call() with masked_softmax_rows's row threshold for the worker out of reach."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parvts.numerics, "SOFTMAX_PARALLEL_ROWS", 10**9)
+        return call()
+
+
+def _parallel_case(rows, extra, masking, heads, seed):
+    """(heads, rows, cols) scores and a (rows, cols) mask with every row feasible."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 6]))
+    if masking == "group_exclusive":
+        # interleaved visual groups between shared rows, as a saliency split leaves them
+        mask = group_exclusive_mask(np.arange(rows), gen.integers(-1, 2, rows))
+    else:
+        mask = _random_mask(gen, rows, rows + extra, masking, 0.6)
+        mask[np.arange(rows), np.arange(rows) + extra] = True
+    return gen.uniform(-20, 20, size=(heads, *mask.shape)), mask
+
+
+class TestTwoCoreSoftmax:
+    """From SOFTMAX_PARALLEL_ROWS rows a tiled call hands its later tiles to
+    one worker thread; no bit moves."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.integers(SOFTMAX_PARALLEL_ROWS - 2, SOFTMAX_PARALLEL_ROWS + 200),
+        st.integers(0, 40),
+        st.sampled_from(["random", "causal", "causal_holes", "group_exclusive"]),
+        st.sampled_from([1, 3]),
+        st.sampled_from(["new", "scores", "separate"]),
+        st.integers(0, 2**16 - 1),
+    )
+    @example(SOFTMAX_PARALLEL_ROWS, 0, "causal", 3, "scores", 0)
+    @example(SOFTMAX_PARALLEL_ROWS - 1, 7, "random", 1, "new", 1)
+    def test_equals_the_same_call_on_one_thread(self, rows, extra, masking, heads, output, seed):
+        scores, mask = _parallel_case(rows, extra, masking, heads, seed)
+        expected = _one_thread(lambda: masked_softmax_rows(scores, mask))
+        before = scores.copy()
+        if output == "new":
+            out = masked_softmax_rows(scores, mask)
+            assert np.array_equal(scores, before)
+        elif output == "scores":
+            out = masked_softmax_rows(scores, mask, out=scores, tiles=softmax_tiles(mask))
+            assert out is scores
+        else:
+            out = np.full_like(scores, np.nan)
+            assert masked_softmax_rows(scores, mask, out=out) is out
+        assert np.array_equal(out, expected)
+
+    @needs_two_cores
+    @pytest.mark.parametrize("rows", [SOFTMAX_PARALLEL_ROWS - 1, SOFTMAX_PARALLEL_ROWS, 1248])
+    def test_worker_runs_the_later_tiles(self, monkeypatch, rows):
+        seen = []
+        run = parvts.numerics._masked_tiles
+
+        def spy(out, mask, tiles):
+            seen.append((threading.current_thread().name, list(tiles)))
+            run(out, mask, tiles)
+
+        monkeypatch.setattr(parvts.numerics, "_masked_tiles", spy)
+        scores, mask = _parallel_case(rows, 0, "causal", 1, 0)
+        masked_softmax_rows(scores, mask)
+        tiles = softmax_tiles(mask)
+        if rows < SOFTMAX_PARALLEL_ROWS:
+            assert seen == [(threading.current_thread().name, tiles)]
+            return
+        (mine_by, mine), (theirs_by, theirs) = sorted(seen, key=lambda call: call[0] == WORKER)
+        assert (mine_by, theirs_by) == (threading.current_thread().name, WORKER)
+        assert mine and theirs and mine + theirs == tiles
+        work = [sum((stop - start) * end for start, stop, _, end in run) for run in (mine, theirs)]
+        assert max(work) - min(work) <= SOFTMAX_TILE_ROWS * rows
+
+    def test_twenty_parallel_calls_start_at_most_one_thread(self):
+        # a fresh interpreter, so that the first of these calls starts the worker
+        script = f"""
+import sys
+import threading
+import numpy as np
+from parvts.numerics import masked_softmax_rows
+mask = np.tril(np.ones(({SOFTMAX_PARALLEL_ROWS}, {SOFTMAX_PARALLEL_ROWS}), dtype=bool))
+barrier = threading.Barrier(20)
+sys.setswitchinterval(1e-6)
+def call():
+    barrier.wait()
+    masked_softmax_rows(np.zeros(mask.shape), mask)
+before = threading.active_count()
+callers = [threading.Thread(target=call) for _ in range(20)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join()
+workers = sum(t.name == "{WORKER}" for t in threading.enumerate())
+print(threading.active_count() - before, workers)
+"""
+        src = os.path.dirname(os.path.dirname(parvts.numerics.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == (["1", "1"] if TWO_CORES else ["0", "0"])
+
+    @needs_two_cores
+    def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        scores, mask = _parallel_case(SOFTMAX_PARALLEL_ROWS + 64, 0, "causal_holes", 3, 2)
+        expected = _one_thread(lambda: masked_softmax_rows(scores, mask))
+        run = parvts.numerics._softmax_tile
+
+        def fail_on_worker(tile, part):
+            if threading.current_thread().name == WORKER:
+                raise RuntimeError("tile failed on the worker")
+            run(tile, part)
+
+        monkeypatch.setattr(parvts.numerics, "_softmax_tile", fail_on_worker)
+        with pytest.raises(RuntimeError, match="tile failed on the worker"):
+            masked_softmax_rows(scores, mask)
+        monkeypatch.undo()
+        assert np.array_equal(masked_softmax_rows(scores, mask), expected)
+
+    def test_concurrent_callers_each_get_their_own_rows(self):
+        cases = [_parallel_case(SOFTMAX_PARALLEL_ROWS + 16 * i, 0, "causal_holes", 1, i)
+                 for i in range(4)]
+        expected = [_one_thread(lambda: masked_softmax_rows(*case)) for case in cases]
+        results = [[] for _ in cases]
+
+        def call(i):
+            for _ in range(5):
+                results[i].append(masked_softmax_rows(*cases[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,), daemon=True)
+                       for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            deadline = time.monotonic() + 30
+            for caller in callers:
+                caller.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got, want in zip(results, expected):
+            assert len(got) == 5 and all(np.array_equal(out, want) for out in got)
+
+    def test_forked_child_finishes_a_parallel_call(self):
+        scores, mask = _parallel_case(SOFTMAX_PARALLEL_ROWS + 100, 0, "causal", 1, 3)
+        expected = masked_softmax_rows(scores, mask)  # the worker exists from here on
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if np.array_equal(masked_softmax_rows(scores, mask), expected) else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's parallel call did not finish within 30 s")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestRmsNorm:
