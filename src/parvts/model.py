@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import InvalidArgumentError, InvalidMaskError
 from .numerics import (
     SOFTMAX_UNTILED_ROWS,
@@ -354,10 +355,10 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     `tiles` are softmax_tiles(mask). All heads form one group when
     heads * rows <= SOFTMAX_UNTILED_ROWS (every decode step, small prefills),
     else each head is its own group, so a large prefill holds one rows x keys
-    score matrix at a time. A group makes one stacked score matmul, one scale,
-    one in-place masked_softmax_rows call and one stacked AV matmul. A stacked
-    matmul makes the per-head BLAS call, and no row's softmax depends on the
-    rows beside it, so the grouping changes no bit.
+    score matrix at a time. A group makes one stacked score matmul, one scaling,
+    in-place masked_softmax_rows call and one stacked AV matmul (from
+    SOFTMAX_PARALLEL_ROWS rows, two row halves split at a multiple of
+    SOFTMAX_TILE_ROWS, on two cores); none of this moves a bit.
     """
     rows, heads, head_dim = q.shape
     group = heads if heads * rows <= SOFTMAX_UNTILED_ROWS else 1
@@ -370,9 +371,15 @@ def _attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, mask, tiles)
     for first in range(0, heads, group):
         members = slice(first, first + group)
         np.matmul(q_heads[members], k_heads[members], out=scores)
-        scores *= 1.0 / np.sqrt(head_dim)
-        masked_softmax_rows(scores, mask, out=scores, tiles=tiles)
-        np.matmul(scores, v_heads[members], out=ctx[members])
+        masked_softmax_rows(scores, mask, out=scores, tiles=tiles, scale=1.0 / np.sqrt(head_dim))
+        if rows < numerics.SOFTMAX_PARALLEL_ROWS:
+            np.matmul(scores, v_heads[members], out=ctx[members])
+        else:
+            half = numerics.SOFTMAX_TILE_ROWS * round(rows / (2 * numerics.SOFTMAX_TILE_ROWS))
+            numerics.run_on_two_cores([
+                lambda: np.matmul(scores[:, :half], v_heads[members], out=ctx[members, :half]),
+                lambda: np.matmul(scores[:, half:], v_heads[members], out=ctx[members, half:]),
+            ])
     return ctx.transpose(1, 0, 2)
 
 

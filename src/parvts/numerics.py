@@ -21,10 +21,9 @@ ROPE_THETA_BASE = 10000.0
 # the skipped columns save (a causal 192 x 192 call breaks even).
 SOFTMAX_TILE_ROWS = 64
 SOFTMAX_UNTILED_ROWS = 3 * SOFTMAX_TILE_ROWS
-# From this many rows a tiled call hands its later tiles to a second core;
-# below it the hand-off saves little or costs time (a causal call of 256 rows
-# ran 16 % slower split). Tiles read no row but their own, so the split moves
-# no bit.
+# From this many rows masked_softmax_rows's tiles and _attention's AV halves run
+# on two cores; below it that saves little or costs time (a causal softmax call
+# of 256 rows ran 16 % slower split).
 SOFTMAX_PARALLEL_ROWS = 512
 
 
@@ -118,8 +117,8 @@ def _allowed_tiles(mask: np.ndarray, tiles=None) -> list[tuple[int, int, int, in
     return softmax_tiles(mask) if tiles is None else tiles
 
 
-def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
-    """Row softmax over the allowed entries of `mask`; blocked entries are 0.
+def masked_softmax_rows(scores, mask, out=None, tiles=None, scale=None) -> np.ndarray:
+    """Row softmax of `scores` times `scale` over the allowed entries of `mask`.
 
     `scores` is (..., rows, keys): the (rows, keys) `mask` and its tiles serve
     every leading index alike, and a row's bits do not depend on how rows are
@@ -129,12 +128,12 @@ def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
     is only changed when it is `out`. Rows go in the tiles of
     softmax_tiles(mask), which a caller that has them passes as `tiles`; a
     tile's work stops at its `end` column, the columns past it are written as
-    0, and the -inf fill of blocked entries starts at its `lo` column. A call
-    of SOFTMAX_PARALLEL_ROWS rows or more, on a host with two cores, runs its
-    later tiles on a worker thread while the caller runs the earlier ones;
-    no tile reads another's rows, so that moves no bit. The result equals
-    the untiled formula bit for bit. A row whose allowed scores are all
-    -inf, or hold NaN or +inf, is NaN up to its tile's `end` and 0 past it.
+    0, and the -inf fill of blocked entries starts at its `lo` column. From
+    SOFTMAX_PARALLEL_ROWS rows each tile scales its own columns up to `end`
+    and the tiles run as run_on_two_cores jobs, largest rows x `end` first.
+    Tiles read no row but their own; blocked entries are 0, and the result is
+    the untiled formula on `scores * scale` bit for bit. A row whose allowed
+    scores are all -inf, or hold NaN or +inf, is NaN up to its tile's `end`.
 
     Raises InvalidMaskError if any row has no allowed entry; given `tiles`,
     the caller has checked that (validate_mask does).
@@ -155,48 +154,61 @@ def masked_softmax_rows(scores, mask, out=None, tiles=None) -> np.ndarray:
         raise InvalidArgumentError(f"out must be a float64 array of shape {scores.shape}")
     elif out is not scores:
         np.copyto(out, scores)
+    if mask is not None and scores.shape[-2] >= SOFTMAX_PARALLEL_ROWS:
+        tiles = sorted(tiles, key=lambda tile: (tile[1] - tile[0]) * tile[3], reverse=True)
+        run_on_two_cores([functools.partial(_masked_tile, out, mask, scale, *t) for t in tiles])
+        return out
+    if scale is not None:
+        out *= scale
     if mask is None:
         _softmax_tile(out, out)
-    elif scores.shape[-2] >= SOFTMAX_PARALLEL_ROWS and len(tiles) > 1:
-        _masked_tiles_on_two_cores(out, mask, tiles)
     else:
-        _masked_tiles(out, mask, tiles)
+        for tile in tiles:
+            _masked_tile(out, mask, None, *tile)
     return out
 
 
-def _masked_tiles(out, mask, tiles) -> None:
-    """masked_softmax_rows's work on `tiles`, in place on their rows of `out`."""
-    for start, stop, lo, end in tiles:
-        tile = out[..., start:stop, :]
-        tile[..., end:] = 0.0
-        np.copyto(tile[..., lo:end], -np.inf, where=~mask[start:stop, lo:end])
-        _softmax_tile(tile, tile[..., :end])
+def _masked_tile(out, mask, scale, start, stop, lo, end) -> None:
+    """masked_softmax_rows's work on one tile, in place on its rows of `out`."""
+    rows = out[..., start:stop, :]
+    if scale is not None:
+        rows[..., :end] *= scale
+    rows[..., end:] = 0.0
+    np.copyto(rows[..., lo:end], -np.inf, where=~mask[start:stop, lo:end])
+    _softmax_tile(rows, rows[..., :end])
 
 
-# The tile worker: None until a call of SOFTMAX_PARALLEL_ROWS rows first needs
-# it, then False on one core, else the function that hands it tiles.
+# The job worker: None until run_on_two_cores first needs it, then False on
+# one core, else the function that hands it jobs.
 _worker = None
 _fork_reset_registered = False
 
 
-def _masked_tiles_on_two_cores(out, mask, tiles) -> None:
-    """_masked_tiles, with the tiles split into two contiguous runs of about
-    equal work (rows times `end`): the tile worker runs the second run while
-    the caller runs the first. On one core, or while another thread uses the
-    worker, the caller runs every tile."""
+def run_on_two_cores(jobs) -> None:
+    """Run each of `jobs`, callables that read nothing another writes, once.
+
+    The job worker thread starts on the last job while the caller claims the
+    others in order from a shared counter; the worker then claims from it too,
+    so jobs listed largest first go out by Graham's LPT rule. On one core, or
+    while another thread holds the worker, the caller runs every job. The
+    caller's error, else the worker's, is raised once all are done."""
     worker = _start_worker() if _worker is None else _worker
-    work = np.cumsum([(stop - start) * end for start, stop, _, end in tiles])
-    split = int(np.abs(2 * work[:-1] - work[-1]).argmin()) + 1
-    if worker is False or not worker(out, mask, tiles[:split], tiles[split:]):
-        _masked_tiles(out, mask, tiles)
+    if not (worker and len(jobs) > 1 and worker(jobs)):
+        for job in jobs:
+            job()
+
+
+def _run_claimed(jobs, claim) -> None:  # the last job is the worker's first
+    while (index := claim()) < len(jobs) - 1:
+        jobs[index]()
 
 
 def _start_worker():
-    """The tile worker's hand-off function, or False when this process may
+    """The job worker's hand-off function, or False when this process may
     run on one core only; the first call starts the worker thread.
 
-    os and threading are imported here, not at module load, so that a process
-    that never makes a call of SOFTMAX_PARALLEL_ROWS rows runs none of this.
+    os and threading are imported here, and itertools in _new_worker, not at
+    module load, so that a process that never hands out jobs runs none of this.
     """
     import os
     import threading
@@ -212,11 +224,12 @@ def _start_worker():
 
 
 def _new_worker():
-    """Start a tile worker thread and return the function that hands it tiles.
+    """Start a job worker thread and return the function that hands it jobs.
 
     A child made by os.fork() has no worker thread, so it forgets the parent's
-    and starts its own on its first call of SOFTMAX_PARALLEL_ROWS rows.
+    and starts its own on its first call of run_on_two_cores.
     """
+    import itertools
     import os
     import threading
 
@@ -227,34 +240,32 @@ def _new_worker():
     start, done, busy = threading.Lock(), threading.Lock(), threading.Lock()
     start.acquire()
     done.acquire()
-    job = []
+    shared = []
 
     def serve():
-        # keeps no reference to the job's arrays once done: one held until
-        # the next call kept two score buffers alive (+20 MB peak RSS at
-        # L = 1248)
+        # names no job or array in this frame: a worker that held the last
+        # job kept a second score buffer alive (+20 MB peak RSS at L = 1248)
         while True:
             start.acquire()
             try:
-                _masked_tiles(*job)
-                job.clear()
+                shared[0][-1]()
+                _run_claimed(*shared)
+                shared.clear()
             except BaseException as exc:  # raised again in the caller
-                job[:] = [exc]
+                shared[:] = [exc]
             done.release()
 
-    def hand_off(out, mask, mine, theirs) -> bool:
-        """Run `theirs` on the worker and `mine` here; once both are done,
-        raise the caller's error, else the worker's. False, having run
-        nothing, while another thread holds the worker."""
+    def hand_off(jobs) -> bool:
+        """run_on_two_cores with the worker; False, running nothing, if another thread holds it."""
         if not busy.acquire(blocking=False):
             return False
-        job[:] = (out, mask, theirs)
+        shared[:] = (jobs, claim := itertools.count().__next__)
         start.release()
         try:
-            _masked_tiles(out, mask, mine)
+            _run_claimed(jobs, claim)
         finally:
             done.acquire()
-            error = job.pop() if job else None
+            error = shared.pop() if shared else None
             busy.release()
         if error is not None:
             raise error

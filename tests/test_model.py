@@ -353,9 +353,10 @@ class TestAttentionGrouping:
         assert appends == [(1,)] * 3 and own_tables == []
 
 
-def _two_pass_softmax(scores, mask, out=None, tiles=None):
+def _two_pass_softmax(scores, mask, out=None, tiles=None, scale=None):
     """masked_softmax_rows as one untiled pass over every column (mask=None allows
-    every entry); `tiles` is ignored."""
+    every entry) after one whole-block scale; `tiles` is ignored."""
+    scores = scores if scale is None else scores * scale
     neg = scores if mask is None else np.where(mask, scores, -np.inf)
     expd = np.exp(neg - neg.max(axis=-1, keepdims=True))
     weights = expd / expd.sum(axis=-1, keepdims=True)
@@ -404,9 +405,11 @@ class TestTiledSoftmaxBits:
         untiled = _kernel_outputs(model, hidden, pos, mask)
         assert all(np.array_equal(a, b) for a, b in zip(tiled, untiled))
 
+    # past SOFTMAX_PARALLEL_ROWS, where the tiles and the AV halves run on two cores;
+    # 1111 rows leave keys % 8 != 0, where splitting the score product moved bits
+    @pytest.mark.parametrize("rows", [600, 1111, 1248])
     @pytest.mark.parametrize("masking", ["causal", "group_exclusive"])
-    def test_two_core_split_changes_no_bit(self, monkeypatch, masking):
-        rows = 600  # past SOFTMAX_PARALLEL_ROWS, where the tile worker takes the later tiles
+    def test_two_core_split_changes_no_bit(self, monkeypatch, rows, masking):
         model = build_model(
             small_config(hidden_dim=16, num_heads=2, num_layers=2, max_positions=rows + 4)
         )
@@ -414,13 +417,24 @@ class TestTiledSoftmaxBits:
         mask = causal_mask(pos)
         if masking == "group_exclusive":
             groups = np.full(rows, -1)
-            groups[8:560] = 1
-            groups[8:560:3] = 0
+            groups[8:rows - 40] = 1
+            groups[8:rows - 40:3] = 0
             mask = group_exclusive_mask(pos, groups)
         hidden = embed(model, synthesize_token_ids(model.config, rows))
+        runs, run = [], parvts.numerics.run_on_two_cores
+
+        def counting(jobs):
+            runs.append(len(jobs))
+            run(jobs)
+
+        monkeypatch.setattr(parvts.numerics, "run_on_two_cores", counting)
         split = _kernel_outputs(model, hidden, pos, mask)
+        # per layer and head: the softmax tiles, then the two AV halves
+        assert runs == [-(-rows // 64), 2] * 2 * model.config.num_layers
+        del runs[:]
         monkeypatch.setattr(parvts.numerics, "SOFTMAX_PARALLEL_ROWS", 10**9)
         one_thread = _kernel_outputs(model, hidden, pos, mask)
+        assert runs == []
         assert len(split) == len(one_thread) == 1 + 3 + 2 * model.config.num_layers
         assert all(np.array_equal(a, b) for a, b in zip(split, one_thread))
 

@@ -3,14 +3,18 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parvts.model
 import parvts.numerics
 from parvts.errors import InvalidArgumentError, InvalidMaskError
+from parvts.harness import synthesize_token_ids
+from parvts.model import ModelConfig, build_model, causal_mask, embed, run_layers
 from parvts.numerics import (
     RMS_NORM_EPS,
     ROPE_THETA_BASE,
@@ -314,8 +318,9 @@ def _parallel_case(rows, extra, masking, heads, seed):
 
 
 class TestTwoCoreSoftmax:
-    """From SOFTMAX_PARALLEL_ROWS rows a tiled call hands its later tiles to
-    one worker thread; no bit moves."""
+    """From SOFTMAX_PARALLEL_ROWS rows a tiled call's tiles, and a one-head
+    group's AV halves, run as jobs that the caller and one worker thread claim;
+    no bit moves."""
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -343,28 +348,126 @@ class TestTwoCoreSoftmax:
             assert masked_softmax_rows(scores, mask, out=out) is out
         assert np.array_equal(out, expected)
 
+    @staticmethod
+    def _record_jobs(monkeypatch):
+        """Spy on the job runner and on the tiles: ([[(index, thread)] per runner
+        call], [(tile, thread)] per tile run)."""
+        calls, tiles = [], []
+        run, tile_run = parvts.numerics.run_on_two_cores, parvts.numerics._masked_tile
+
+        def recorded(i, job, seen):
+            def job_run():
+                seen.append((i, threading.current_thread().name))
+                job()
+            return job_run
+
+        def runner(jobs):
+            calls.append([])
+            run([recorded(i, job, calls[-1]) for i, job in enumerate(jobs)])
+
+        def tile_spy(out, mask, scale, *tile):
+            tiles.append((tile, threading.current_thread().name))
+            tile_run(out, mask, scale, *tile)
+
+        monkeypatch.setattr(parvts.numerics, "run_on_two_cores", runner)
+        monkeypatch.setattr(parvts.numerics, "_masked_tile", tile_spy)
+        return calls, tiles
+
+    @staticmethod
+    def _one_head_attention(rows):
+        """_attention's arguments for one causal head of size 8."""
+        gen = np.random.Generator(np.random.Philox(key=[rows, 7]))
+        q, k, v = (gen.uniform(-1, 1, size=(rows, 1, 8)) for _ in range(3))
+        mask = np.tril(np.ones((rows, rows), dtype=bool))
+        return q, k, v, mask, softmax_tiles(mask)
+
     @needs_two_cores
     @pytest.mark.parametrize("rows", [SOFTMAX_PARALLEL_ROWS - 1, SOFTMAX_PARALLEL_ROWS, 1248])
-    def test_worker_runs_the_later_tiles(self, monkeypatch, rows):
-        seen = []
-        run = parvts.numerics._masked_tiles
-
-        def spy(out, mask, tiles):
-            seen.append((threading.current_thread().name, list(tiles)))
-            run(out, mask, tiles)
-
-        monkeypatch.setattr(parvts.numerics, "_masked_tiles", spy)
-        scores, mask = _parallel_case(rows, 0, "causal", 1, 0)
-        masked_softmax_rows(scores, mask)
-        tiles = softmax_tiles(mask)
+    def test_every_tile_and_av_half_runs_once(self, monkeypatch, rows):
+        args = self._one_head_attention(rows)
+        expected = _one_thread(lambda: parvts.model._attention(*args))
+        calls, tiles = self._record_jobs(monkeypatch)
+        assert np.array_equal(parvts.model._attention(*args), expected)
+        me = threading.current_thread().name
+        assert sorted(tile for tile, _ in tiles) == args[-1]
         if rows < SOFTMAX_PARALLEL_ROWS:
-            assert seen == [(threading.current_thread().name, tiles)]
+            assert calls == [] and {name for _, name in tiles} == {me}
             return
-        (mine_by, mine), (theirs_by, theirs) = sorted(seen, key=lambda call: call[0] == WORKER)
-        assert (mine_by, theirs_by) == (threading.current_thread().name, WORKER)
-        assert mine and theirs and mine + theirs == tiles
-        work = [sum((stop - start) * end for start, stop, _, end in run) for run in (mine, theirs)]
-        assert max(work) - min(work) <= SOFTMAX_TILE_ROWS * rows
+        # the softmax tiles, then the two AV halves
+        assert [len(jobs) for jobs in calls] == [len(args[-1]), 2]
+        for jobs in calls:
+            assert sorted(i for i, _ in jobs) == list(range(len(jobs)))
+            assert {name for _, name in jobs} <= {me, WORKER}
+            assert (len(jobs) - 1, WORKER) in jobs  # the worker starts on the last job
+
+    @pytest.mark.parametrize("holder", ["one_core", "another_thread"])
+    def test_the_caller_runs_every_job_without_a_free_worker(self, monkeypatch, holder):
+        args = self._one_head_attention(1248)
+        expected = _one_thread(lambda: parvts.model._attention(*args))
+        entered, release = threading.Event(), threading.Event()
+        if holder == "one_core":
+            monkeypatch.setattr(parvts.numerics, "_worker", False)
+        else:
+            # another caller holds the worker until `release` is set
+            holding = threading.Thread(target=parvts.numerics.run_on_two_cores, args=(
+                [lambda: (entered.set(), release.wait(30)), lambda: release.wait(30)],))
+            holding.start()
+            assert entered.wait(30)
+        calls, tiles = self._record_jobs(monkeypatch)
+        try:
+            assert np.array_equal(parvts.model._attention(*args), expected)
+        finally:
+            release.set()
+            if holder == "another_thread":
+                holding.join(30)
+        assert [len(jobs) for jobs in calls] == [len(args[-1]), 2]
+        assert sorted(tile for tile, _ in tiles) == args[-1]
+        me = threading.current_thread().name
+        assert all(name == me for jobs in calls for _, name in jobs)
+        assert all(name == me for _, name in tiles)
+
+    def test_no_score_buffer_outlives_its_call(self, monkeypatch):
+        rows = 1248
+        scores, mask = _parallel_case(rows, 0, "causal", 1, 4)
+        buf = np.empty_like(scores)
+        masked_softmax_rows(scores, mask, out=buf)
+        ref = weakref.ref(buf)
+        del buf
+        assert ref() is None
+        model = build_model(ModelConfig(1, 16, 2, 16, 23, rows, 5))
+        buffers, inner = [], parvts.model.masked_softmax_rows
+
+        def keep_weakref(scores, mask, **kwargs):
+            buffers.append(weakref.ref(kwargs["out"]))
+            return inner(scores, mask, **kwargs)
+
+        monkeypatch.setattr(parvts.model, "masked_softmax_rows", keep_weakref)
+        pos = np.arange(rows)
+        run_layers(model, embed(model, synthesize_token_ids(model.config, rows)), pos, (1, 1),
+                   causal_mask(pos))
+        assert len(buffers) == 2 and all(ref() is None for ref in buffers)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.sampled_from(["none", "one_tile", "tiled", "two_cores"]),
+        st.sampled_from([1, 3]),
+        st.sampled_from(["new", "scores", "separate"]),
+        st.floats(1e-3, 10.0),
+        st.integers(0, 2**16 - 1),
+    )
+    @example("two_cores", 1, "scores", 1.0 / np.sqrt(24), 0)
+    def test_scale_equals_scaling_first(self, case, heads, output, scale, seed):
+        rows = {"none": 300, "one_tile": 150, "tiled": 300, "two_cores": 700}[case]
+        scores, mask = _parallel_case(rows, 0, "causal_holes", heads, seed)
+        mask = None if case == "none" else mask
+        expected = masked_softmax_rows(scores * scale, mask)
+        if output == "new":
+            out = masked_softmax_rows(scores, mask, scale=scale)
+        elif output == "scores":
+            out = masked_softmax_rows(scores, mask, out=scores, scale=scale)
+        else:
+            out = masked_softmax_rows(scores, mask, out=np.full_like(scores, np.nan), scale=scale)
+        assert np.array_equal(out, expected)
 
     def test_twenty_parallel_calls_start_at_most_one_thread(self):
         # a fresh interpreter, so that the first of these calls starts the worker
