@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parvts.errors import InvalidArgumentError
@@ -574,3 +574,116 @@ class TestOnePrefillPath:
                 assert np.array_equal(
                     getattr(direct.cache, part)(layer), getattr(routed.cache, part)(layer)
                 )
+
+
+def replay(model, ids, layout, partition, cfg):
+    """Each schedule rebuilt from public calls: (hidden, positions, cache, diagnostics, counts)."""
+    N, n, j = model.config.num_layers, cfg.migration_depth, cfg.joint_prefix_layers
+    num_sys, num_q = layout.num_system, layout.num_question
+    h0 = embed(model, ids)
+    every = np.arange(layout.output_start)
+    cache = model.new_cache()
+    if cfg.strategy is Strategy.VANILLA:
+        hidden = run_layers(model, h0, every, (1, N), causal_mask(every), cache)
+        return hidden, every, cache, {}, {"full": every.size}
+
+    def at_migration(h):
+        # split by count: with no question rows h[-0:] would take every row
+        split = h.shape[0] - num_q
+        return {"question_at_migration": h[split:], "retained_at_migration": h[:split]}
+
+    groups = row_groups(layout, partition)
+    sub, non = np.flatnonzero(groups != 1), np.flatnonzero(groups != 0)
+    if cfg.strategy in (Strategy.SUBJECT_FIRST, Strategy.NONSUBJECT_FIRST):
+        stages = [("subject_stage", sub), ("nonsubject_stage", non)]
+        if cfg.strategy is Strategy.NONSUBJECT_FIRST:
+            stages.reverse()
+        (name1, rows1), (name2, rows2) = stages
+        h1 = run_layers(model, h0[rows1], rows1, (1, n), causal_mask(rows1), cache)
+        h2 = h0[rows2]
+        h2[groups[rows2] == -1] = h1[groups[rows1] == -1]  # system and question carry over
+        hidden = run_layers(model, h2, rows2, (n + 1, N), causal_mask(rows2), cache)
+        return hidden, rows2, cache, at_migration(h1), {name1: rows1.size, name2: rows2.size}
+
+    counts, diagnostics, h = {}, {}, h0
+    if j >= 1:
+        h = run_layers(model, h, every, (1, j), causal_mask(every), cache)
+        counts["joint_prefix"] = every.size
+    if cfg.strategy is Strategy.PARVTS_BATCH:
+        diagnostics["system_identity_max_diff"] = []
+    if cfg.strategy is Strategy.PARVTS_BATCH and 0 < partition.keep_count < partition.num_visual:
+        h_sub, h_non = h[sub], h[non]
+        for layer in range(j + 1, n + 1):
+            h_non = run_layers(model, h_non, non, (layer, layer), causal_mask(non))
+            h_sub = run_layers(model, h_sub, sub, (layer, layer), causal_mask(sub), cache)
+            if num_sys:
+                diff = np.max(np.abs(h_non[:num_sys] - h_sub[:num_sys]))
+                diagnostics["system_identity_max_diff"].append(float(diff))
+        counts["branch_nonsubject"], counts["branch_subject"] = non.size, sub.size
+        q_sub, q_non = sub.size - num_q, non.size - num_q
+        h_sub[q_sub:] = fuse_question_states(h_non[q_non:], h_sub[q_sub:], cfg.alpha, cfg.beta)
+    else:
+        if n > j:
+            h = run_layers(model, h, every, (j + 1, n), group_exclusive_mask(every, groups), cache)
+            counts["exclusive_mask"] = every.size
+        h_sub = h[sub]
+    if partition.keep_count < partition.num_visual:
+        cache = cache.drop_positions(np.flatnonzero(groups == 1))
+    diagnostics.update(at_migration(h_sub))
+    hidden = run_layers(model, h_sub, sub, (n + 1, N), causal_mask(sub), cache)
+    counts["continuation"] = sub.size
+    return hidden, sub, cache, diagnostics, counts
+
+
+def assert_replayed(model, ids, layout, partition, cfg):
+    result = run_strategy(model, ids, layout, partition, cfg)
+    hidden, positions, cache, diagnostics, counts = replay(model, ids, layout, partition, cfg)
+    assert np.array_equal(result.hidden, hidden)
+    assert np.array_equal(result.positions, positions)
+    for layer in range(model.config.num_layers):
+        for part in ("positions", "keys", "values"):
+            assert np.array_equal(getattr(result.cache, part)(layer), getattr(cache, part)(layer))
+    assert list(result.diagnostics) == list(diagnostics)
+    for key, value in diagnostics.items():
+        assert np.array_equal(result.diagnostics[key], value)
+    assert list(result.phase_token_counts.items()) == list(counts.items())
+
+
+class TestPublicCallReplay:
+    @pytest.mark.parametrize("case", TestOnePrefillPath.PHASES)
+    def test_pinned_phase_cases(self, case):
+        strategy, keep, n, j, _ = TestOnePrefillPath.PHASES[case]
+        model, layout, ids, partition = make_setup(keep=keep)
+        assert_replayed(model, ids, layout, partition, ScheduleConfig(strategy, n, 0.3, 0.7, j))
+
+    # layers, n, j, system, visual, question rows, keep; n, j and keep are
+    # clamped to their ranges, so the sweep often lands on n = N, j = n, k = |V|
+    EDGES = dict(num_layers=st.integers(1, 3), n=st.integers(1, 3), j=st.integers(0, 3),
+                 num_system=st.integers(0, 2), num_visual=st.integers(1, 6),
+                 num_question=st.integers(0, 2), keep=st.integers(0, 6),
+                 strategy=st.sampled_from(Strategy), seed=st.integers(0, 99))
+
+    @settings(deadline=None, max_examples=30)
+    @given(**EDGES)
+    @example(3, 3, 0, 0, 5, 1, 0, Strategy.PARVTS_BATCH, 1)      # no system, k = 0, j = 0, n = N
+    @example(2, 2, 2, 2, 4, 0, 4, Strategy.PARVTS_MASKED, 2)     # no question, k = |V|, j = n
+    @example(3, 2, 1, 0, 5, 0, 2, Strategy.PARVTS_BATCH, 3)      # split, no system or question
+    @example(2, 1, 0, 0, 4, 1, 4, Strategy.NONSUBJECT_FIRST, 4)  # an empty first stage
+    @example(2, 1, 0, 0, 4, 0, 0, Strategy.SUBJECT_FIRST, 5)     # a stage with no rows
+    def test_edge_layouts(self, num_layers, n, j, num_system, num_visual, num_question, keep,
+                          strategy, seed):
+        n = min(n, num_layers)
+        model, layout, ids, saliency = seeded_inputs(
+            ModelConfig(num_layers=num_layers, hidden_dim=16, num_heads=2, mlp_dim=32,
+                        vocab_size=97, max_positions=16, master_seed=seed),
+            num_system, num_visual, num_question,
+        )
+        partition = partition_topk(saliency, min(keep, num_visual))
+        cfg = ScheduleConfig(strategy, n, 0.3, 0.7, min(j, n))
+        try:
+            run_strategy(model, ids, layout, partition, cfg)
+        except InvalidArgumentError as exc:  # a stage with no rows
+            with pytest.raises(InvalidArgumentError, match=f"^{exc}$"):
+                replay(model, ids, layout, partition, cfg)
+            return
+        assert_replayed(model, ids, layout, partition, cfg)
