@@ -16,16 +16,20 @@ Five prefill schedules over the same toy decoder:
                            embeddings (system/question states persist).
 * NonSubjectFirst       -- mirror image of SubjectFirst.
 
-The two ParVTS modes are one runner, `_run_parvts`, that differs only in
-layers j+1..n; with an empty visual group ParVTSBatch takes the masked pass.
-Both end with no cache entry at a pruned position. Every runner picks its
-rows, mask and cache drop from the partition's labels on the rows
-(`row_groups`). Rows keep their original positions throughout so attention
-geometry is identical across formulations.
+Each schedule is a plan (`_plan`): a short tuple of steps, each a phase
+name, a layer range, the `row_groups` label whose rows sit it out, its mask
+(causal or group-exclusive), whether the non-subject rows' cache entries go
+before it, and whether it is the non-subject branch. One executor
+(`_execute`) runs any plan through `run_layers` and keeps each position's
+latest hidden row, so the joint prefix hands its rows to the branches and a
+sequential schedule's system and question states outlive the swap. With an
+empty visual group ParVTSBatch's plan is ParVTSMasked's. Both ParVTS modes
+end with no cache entry at a pruned position. Rows keep their original
+positions throughout so attention geometry is identical across formulations.
 
 `run_strategy` is the one entry for a scheduled prefill: it validates the
-config and the inputs, embeds the ids once and runs the config's runner,
-Vanilla's included. `run_vanilla` runs that runner from the ids alone.
+config and the inputs, embeds the ids once and executes the config's plan,
+Vanilla's included. `run_vanilla` executes Vanilla's plan from the ids alone.
 """
 
 from __future__ import annotations
@@ -150,138 +154,97 @@ def _check_inputs(token_ids, layout, partition=None, strategy=Strategy.VANILLA):
     return ids
 
 
-def _causal_phase(model, hidden, positions, layer_range, cache, counts, phase):
-    """Run `layer_range` over `positions` under a causal mask, caching every layer."""
-    hidden = run_layers(model, hidden, positions, layer_range, causal_mask(positions), cache)
-    counts[phase] = int(positions.size)
-    return hidden
+@dataclass(frozen=True)
+class _Step:
+    """One phase of a plan: layers first..last over every row not labelled `omit`."""
+
+    phase: str
+    layers: tuple[int, int]
+    omit: int | None = None  # the row_groups label whose rows sit the step out
+    exclusive: bool = False  # group_exclusive_mask in place of causal_mask
+    drop: bool = False  # drop the non-subject rows' cache entries first
+    branch: bool = False  # the non-subject branch, run beside the next step
 
 
-def _tail(model, hidden, positions, done, cache, counts, phase, diagnostics) -> PrefillResult:
-    """Layers done+1..N over `positions` under a causal mask, then the result."""
-    last = model.config.num_layers
-    hidden = _causal_phase(model, hidden, positions, (done + 1, last), cache, counts, phase)
-    return PrefillResult(hidden, cache, positions, counts, diagnostics)
+def _plan(cfg: ScheduleConfig, partition: Partition | None, num_layers: int) -> tuple[_Step, ...]:
+    """cfg.strategy's schedule as steps; a ParVTS plan ends with the migration at layer n.
 
-
-def _at_migration(hidden: np.ndarray, num_q: int) -> dict:
-    """Copies of the question rows and of the other rows at the migration layer."""
-    split = hidden.shape[0] - num_q
-    return {
-        "question_at_migration": hidden[split:].copy(),
-        "retained_at_migration": hidden[:split].copy(),
-    }
-
-
-def _run_vanilla(
-    model: Model,
-    embedded: np.ndarray,
-    layout: SequenceLayout,
-    partition: Partition | None,
-    cfg: ScheduleConfig | None,
-) -> PrefillResult:
-    """Full causal prefill through every layer with a full cache."""
-    positions = np.arange(embedded.shape[0], dtype=np.int64)
-    return _tail(model, embedded, positions, 0, model.new_cache(), {}, "full", {})
-
-
-def _run_parvts(
-    model: Model,
-    embedded: np.ndarray,
-    layout: SequenceLayout,
-    partition: Partition,
-    cfg: ScheduleConfig,
-) -> PrefillResult:
-    """Joint prefix, the grouped layers j+1..n, then the migration step.
-
-    Layers 1..j run every row under a causal mask. ParVTSBatch runs j+1..n as
-    two parallel branches, one per visual group, each with its own question
-    copy; branch inputs are rows of the joint-prefix output (the embedded rows
-    when the joint prefix is empty) and the question states are fused at layer
-    n. ParVTSMasked runs j+1..n as one pass under `group_exclusive_mask`, where
-    question rows attend to both groups, so no fusion step exists. With an
-    empty visual group the one branch is every row under a causal mask, which
-    is that pass, so ParVTSBatch runs it too. At layer n the non-subject rows
-    and their cache entries go, the question rows and the other retained rows
-    are recorded in `diagnostics`, and the retained rows run n+1..N.
+    Layers 1..j run every row. ParVTSBatch runs j+1..n as two branches, one per
+    visual group, each with the system rows and its own question copy; with
+    an empty visual group the one branch is every row under a causal mask,
+    which is ParVTSMasked's group-exclusive pass, so it takes that pass.
     """
     n, j = cfg.migration_depth, cfg.joint_prefix_layers
-    groups = row_groups(layout, partition)
-    num_sys, num_q = layout.num_system, layout.num_question
-
-    cache = model.new_cache()
-    counts: dict[str, int] = {}
-    positions = np.arange(embedded.shape[0], dtype=np.int64)
-    hidden = embedded
-    if j >= 1:
-        hidden = _causal_phase(model, hidden, positions, (1, j), cache, counts, "joint_prefix")
-
-    batch = cfg.strategy is Strategy.PARVTS_BATCH
-    identity_diffs: list[float] = []
-    diagnostics = {"system_identity_max_diff": identity_diffs} if batch else {}
-    if batch and 0 < partition.keep_count < partition.num_visual:
-        positions, branch_non_pos = np.flatnonzero(groups != 1), np.flatnonzero(groups != 0)
-        hidden, h_non = hidden[positions], hidden[branch_non_pos]
-        mask_sub, mask_non = causal_mask(positions), causal_mask(branch_non_pos)
-        for layer in range(j + 1, n + 1):
-            h_non = run_layers(model, h_non, branch_non_pos, (layer, layer), mask_non)
-            hidden = run_layers(model, hidden, positions, (layer, layer), mask_sub, cache)
-            if num_sys:
-                identity_diffs.append(float(np.max(np.abs(h_non[:num_sys] - hidden[:num_sys]))))
-        counts["branch_nonsubject"] = int(branch_non_pos.size)
-        counts["branch_subject"] = int(positions.size)
-        q_sub, q_non = positions.size - num_q, branch_non_pos.size - num_q
-        hidden[q_sub:] = fuse_question_states(h_non[q_non:], hidden[q_sub:], cfg.alpha, cfg.beta)
+    if cfg.strategy is Strategy.VANILLA:
+        return (_Step("full", (1, num_layers)),)
+    if cfg.strategy in (Strategy.SUBJECT_FIRST, Strategy.NONSUBJECT_FIRST):
+        first = int(cfg.strategy is Strategy.NONSUBJECT_FIRST)
+        names = ("subject_stage", "nonsubject_stage")
+        return (_Step(names[first], (1, n), omit=1 - first),
+                _Step(names[1 - first], (n + 1, num_layers), omit=first))
+    steps = [_Step("joint_prefix", (1, j))] if j >= 1 else []
+    if cfg.strategy is Strategy.PARVTS_BATCH and 0 < partition.keep_count < partition.num_visual:
+        steps += [_Step("branch_nonsubject", (j + 1, n), omit=0, branch=True),
+                  _Step("branch_subject", (j + 1, n), omit=1)]
     elif n > j:
-        exclusive = group_exclusive_mask(positions, groups)
-        hidden = run_layers(model, hidden, positions, (j + 1, n), exclusive, cache)
-        counts["exclusive_mask"] = int(positions.size)
-
-    keep = groups[positions] != 1
-    positions, hidden = positions[keep], hidden[keep]
-    if partition.keep_count < partition.num_visual:
-        cache = cache.drop_positions(np.flatnonzero(groups == 1))
-    diagnostics.update(_at_migration(hidden, num_q))
-    return _tail(model, hidden, positions, n, cache, counts, "continuation", diagnostics)
+        steps.append(_Step("exclusive_mask", (j + 1, n), exclusive=True))
+    drop = partition.keep_count < partition.num_visual
+    return (*steps, _Step("continuation", (n + 1, num_layers), omit=1, drop=drop))
 
 
-def _run_sequential(
-    model: Model,
-    embedded: np.ndarray,
-    layout: SequenceLayout,
-    partition: Partition,
-    cfg: ScheduleConfig,
-) -> PrefillResult:
-    """One visual group through layers 1..n, then the other through n+1..N.
+def _execute(model, embedded, layout, partition, cfg) -> PrefillResult:
+    """Run cfg's plan through run_layers; every step but the non-subject branch fills the cache.
 
-    SubjectFirst starts with the subject group (label 0), NonSubjectFirst with
-    the other; each stage holds the system rows, its group and the question.
+    `latest` holds each position's latest hidden row, from the embedding on;
+    each step reads its rows from it and writes them back. So a sequential
+    schedule's second stage takes the first stage's system and question rows
+    and the other group's embeddings (ReplaceVision). The branch pair runs
+    one layer at a time, then the question rows are fused into the subject
+    branch, which alone writes back. Before the last step come its cache drop
+    and the diagnostics at migration: the previous step's rows, less the
+    dropped ones, as the question rows and the others.
     """
-    n = cfg.migration_depth
-    first, second = (0, 1) if cfg.strategy is Strategy.SUBJECT_FIRST else (1, 0)
-    names = ("subject_stage", "nonsubject_stage")
-    groups = row_groups(layout, partition)
-    stage1_pos, stage2_pos = np.flatnonzero(groups != second), np.flatnonzero(groups != first)
-
-    cache = model.new_cache()
-    counts: dict[str, int] = {}
-    h1 = _causal_phase(model, embedded[stage1_pos], stage1_pos, (1, n), cache, counts, names[first])
-
-    # ReplaceVision: swap the visual slots for the other group's embeddings
-    # while the system and question hidden states persist.
-    h2 = embedded[stage2_pos]
-    h2[groups[stage2_pos] == -1] = h1[groups[stage1_pos] == -1]
-    diagnostics = _at_migration(h1, layout.num_question)
-    return _tail(model, h2, stage2_pos, n, cache, counts, names[second], diagnostics)
-
-
-_RUNNERS = {
-    Strategy.VANILLA: _run_vanilla,
-    Strategy.PARVTS_BATCH: _run_parvts,
-    Strategy.PARVTS_MASKED: _run_parvts,
-    Strategy.SUBJECT_FIRST: _run_sequential,
-    Strategy.NONSUBJECT_FIRST: _run_sequential,
-}
+    plan = _plan(cfg, partition, model.config.num_layers)
+    groups = None if partition is None else row_groups(layout, partition)
+    latest, cache, counts = embedded, model.new_cache(), {}
+    diagnostics = {"system_identity_max_diff": []} if cfg.strategy is Strategy.PARVTS_BATCH else {}
+    num_sys, num_q = layout.num_system, layout.num_question
+    branch = None  # the non-subject branch's rows, hidden rows and mask
+    for step in plan:
+        if step is plan[-1] and len(plan) > 1:
+            if step.drop:
+                cache = cache.drop_positions(np.flatnonzero(groups == 1))
+                rows = rows[groups[rows] != 1]
+            at_n, split = latest[rows], rows.size - num_q
+            diagnostics["question_at_migration"] = at_n[split:]
+            diagnostics["retained_at_migration"] = at_n[:split]
+        if step.omit is None:  # every row: no copy in or out
+            rows, hidden = np.arange(embedded.shape[0], dtype=np.int64), latest
+        else:
+            rows = np.flatnonzero(groups != step.omit)
+            hidden = latest[rows]
+        mask = group_exclusive_mask(rows, groups) if step.exclusive else causal_mask(rows)
+        counts[step.phase] = int(rows.size)
+        if step.branch:
+            branch = rows, hidden, mask
+            continue
+        if branch is None:
+            hidden = run_layers(model, hidden, rows, step.layers, mask, cache)
+        else:
+            (non, h_non, mask_non), branch = branch, None
+            for layer in range(step.layers[0], step.layers[1] + 1):
+                h_non = run_layers(model, h_non, non, (layer, layer), mask_non)
+                hidden = run_layers(model, hidden, rows, (layer, layer), mask, cache)
+                if num_sys:
+                    diff = np.max(np.abs(h_non[:num_sys] - hidden[:num_sys]))
+                    diagnostics["system_identity_max_diff"].append(float(diff))
+            q_sub, q_non = rows.size - num_q, non.size - num_q
+            hidden[q_sub:] = fuse_question_states(h_non[q_non:], hidden[q_sub:], cfg.alpha, cfg.beta)
+        if step.omit is None:
+            latest = hidden
+        else:
+            latest[rows] = hidden
+    return PrefillResult(hidden, cache, rows, counts, diagnostics)
 
 
 def run_strategy(
@@ -291,13 +254,14 @@ def run_strategy(
     partition: Partition,
     cfg: ScheduleConfig,
 ) -> PrefillResult:
-    """Validate cfg and the inputs, embed the ids once and run cfg.strategy's runner."""
+    """Validate cfg and the inputs, embed the ids once and execute cfg.strategy's plan."""
     cfg.validate(model.config.num_layers)
     ids = _check_inputs(token_ids, layout, partition, cfg.strategy)
-    return _RUNNERS[cfg.strategy](model, embed(model, ids), layout, partition, cfg)
+    return _execute(model, embed(model, ids), layout, partition, cfg)
 
 
 def run_vanilla(model: Model, token_ids, layout: SequenceLayout) -> PrefillResult:
     """Full causal prefill through every layer with a full cache."""
     ids = _check_inputs(token_ids, layout)
-    return _run_vanilla(model, embed(model, ids), layout, None, None)
+    cfg = ScheduleConfig(Strategy.VANILLA, model.config.num_layers)
+    return _execute(model, embed(model, ids), layout, None, cfg)

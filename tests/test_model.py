@@ -438,6 +438,32 @@ class TestTiledSoftmaxBits:
         assert len(split) == len(one_thread) == 1 + 3 + 2 * model.config.num_layers
         assert all(np.array_equal(a, b) for a, b in zip(split, one_thread))
 
+    # the two-core AV product moves no bit only if its first half is whole
+    # softmax tiles and the two halves equal the product over every row
+    @pytest.mark.parametrize("rows", [512, 577, 700, 1000, 1111, 1248, 1290])
+    def test_av_halves_are_tile_aligned_and_exact(self, monkeypatch, rows):
+        model = build_model(
+            small_config(hidden_dim=16, num_heads=1, num_layers=1, max_positions=rows)
+        )
+        pos = np.arange(rows)
+        hidden = embed(model, synthesize_token_ids(model.config, rows))
+        products, matmul = [], np.matmul  # (scores, values, out) of each AV call
+
+        def recording(a, b, out=None):
+            if out is not None and out.shape[-1] == model.config.head_dim:
+                products.append((a, b, out))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        run_layers(model, hidden, pos, (1, 1), causal_mask(pos))
+        monkeypatch.undo()
+        # the halves may finish in either order; the first writes the lower rows
+        (s1, values, out1), (s2, _, out2) = sorted(products, key=lambda p: p[2].ctypes.data)
+        assert out1.shape[-2] % parvts.numerics.SOFTMAX_TILE_ROWS == 0
+        assert out1.shape[-2] + out2.shape[-2] == rows
+        whole = matmul(np.concatenate([s1, s2], axis=-2), values)
+        assert np.array_equal(np.concatenate([out1, out2], axis=-2), whole)
+
 
 class TestGreedyDecode:
     def test_zero_steps(self):

@@ -25,7 +25,6 @@ from parvts.scheduler import (
     Strategy,
     fuse_question_states,
     group_exclusive_mask,
-    _RUNNERS,
     prune_cache,
     row_groups,
     run_strategy,
@@ -560,9 +559,36 @@ class TestOnePrefillPath:
         result = run_strategy(model, ids, layout, partition, cfg)
         assert list(result.phase_token_counts.items()) == list(expected.items())
 
+    @pytest.mark.parametrize("case", PHASES)
+    def test_the_plan_is_what_runs(self, case, monkeypatch):
+        import parvts.scheduler as scheduler
+
+        strategy, keep, n, j, _ = self.PHASES[case]
+        model, layout, ids, partition = make_setup(keep=keep)
+        cfg = ScheduleConfig(strategy, n, 0.5, 0.5, j)
+        calls = []  # (rows, layer range, cache passed) of each run_layers call
+
+        def recording_run_layers(model, hidden, positions, layer_range, mask, cache=None):
+            calls.append((hidden.shape[0], tuple(layer_range), cache is not None))
+            return run_layers(model, hidden, positions, layer_range, mask, cache)
+
+        monkeypatch.setattr(scheduler, "run_layers", recording_run_layers)
+        run_strategy(model, ids, layout, partition, cfg)
+        groups = row_groups(layout, partition)
+        expected, pending = [], None
+        for step in scheduler._plan(cfg, partition, model.config.num_layers):
+            rows = groups.size if step.omit is None else int(np.sum(groups != step.omit))
+            if step.branch:
+                pending = rows
+            elif pending is not None:  # the branch pair, one layer per call
+                for layer in range(step.layers[0], step.layers[1] + 1):
+                    expected += [(pending, (layer, layer), False), (rows, (layer, layer), True)]
+                pending = None
+            else:
+                expected.append((rows, step.layers, True))
+        assert calls == expected
+
     def test_vanilla_is_a_runner_like_the_others(self):
-        assert set(_RUNNERS) == set(Strategy)
-        assert _RUNNERS[Strategy.PARVTS_BATCH] is _RUNNERS[Strategy.PARVTS_MASKED]
         model, layout, ids, partition = make_setup()
         direct = run_vanilla(model, ids, layout)
         routed = run_strategy(model, ids, layout, partition, ScheduleConfig(Strategy.VANILLA, 2))
